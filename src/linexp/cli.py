@@ -39,6 +39,17 @@ def _read_hypergraph(path: str) -> Hypergraph:
         return parse_hypergraph(f.read())
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _graph_dump(num_nodes: int, edges: list[tuple[int, int]]) -> str:
     out = [f"{num_nodes} {len(edges)}"]
     out += ["? ?"] * num_nodes
@@ -190,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="size and density table")
     p.add_argument("--input", required=True)
-    p.add_argument("--delta-v", type=int, default=16, dest="delta_v")
-    p.add_argument("--delta-e", type=int, default=16, dest="delta_e")
+    p.add_argument("--delta-v", type=_positive_int, default=16, dest="delta_v")
+    p.add_argument("--delta-e", type=_positive_int, default=16, dest="delta_e")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--input")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--reconstruct", action="store_true")
     p.add_argument("--json")

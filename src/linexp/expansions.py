@@ -4,10 +4,25 @@ Line nodes are the incident (vertex, hyperedge) pairs, ordered by
 (v ascending, e ascending). Two line nodes are adjacent when they share the
 vertex (kind "vertex-similar", carrying weight w_e) or the hyperedge
 (kind "hyperedge-similar", carrying weight w_v).
+
+Everything below the line expansion itself is sparse algebra on the pair
+arrays v_of, e_of (the vertex and hyperedge of each line node):
+
+* P_v and P_e are the binary |V_l| x |V| and |V_l| x |E| indicators of
+  v_of and e_of; H_r = [P_v, P_e].
+* Back-projections: P_v'(v, (v, e)) = w(v, e) / sum_e' w(v, e') with
+  w(v, e) = 1/delta(e); P_e'(e, (v, e)) = u(v, e) / sum_v' u(v', e) with
+  u(v, e) = 1/d(v).
+* P_v P_v^T and P_e P_e^T are 1 on the diagonal and on same-vertex,
+  respectively same-hyperedge, pairs. So with self-loop weight
+  s = w_v + w_e, sI + A_l = w_e P_v P_v^T + w_v P_e P_e^T, whose row sums
+  are D(v, e) = w_e d(v) + w_v delta(e), and the renormalized operator is
+  D^{-1/2} (w_e P_v P_v^T + w_v P_e P_e^T) D^{-1/2}.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -158,33 +173,31 @@ def projections(h: Hypergraph) -> ProjectionSet:
     report = validate(h)
     if not report.ok:
         raise HypergraphError(f"empty hyperedges {report.empty_hyperedges}")
-    pairs = h.pairs()
-    n_l = len(pairs)
-    delta = hyperedge_degrees(h).as_array()
+    nv, ne = h.num_vertices, h.num_hyperedges
     d = vertex_degrees(h).as_array()
-
+    delta = hyperedge_degrees(h).as_array()
+    n_l = int(d.sum())
+    # Pairs in (v, e) order: v repeats d(v) times, e runs over vertex_edges(v).
+    v_of = np.repeat(np.arange(nv, dtype=np.int64), d)
+    e_of = np.fromiter(
+        chain.from_iterable(h.vertex_edges(v) for v in range(nv)),
+        dtype=np.int64,
+        count=n_l,
+    )
     rows = np.arange(n_l)
-    v_ids = np.array([v for v, _ in pairs], dtype=np.int64)
-    e_ids = np.array([e for _, e in pairs], dtype=np.int64)
     ones = np.ones(n_l)
-    p_v = sp.csr_array((ones, (rows, v_ids)), shape=(n_l, h.num_vertices))
-    p_e = sp.csr_array((ones, (rows, e_ids)), shape=(n_l, h.num_hyperedges))
+    p_v = sp.csr_array((ones, (rows, v_of)), shape=(n_l, nv))
+    p_e = sp.csr_array((ones, (rows, e_of)), shape=(n_l, ne))
     h_r = sp.csr_array(sp.hstack([p_v, p_e], format="csr"))
 
-    vb_data = np.empty(n_l)
-    for i, (v, e) in enumerate(pairs):
-        norm = sum(1.0 / delta[ep] for ep in h.vertex_edges(v))
-        vb_data[i] = (1.0 / delta[e]) / norm
-    p_v_back = sp.csr_array((vb_data, (v_ids, rows)), shape=(h.num_vertices, n_l))
-
-    for i, (v, e) in enumerate(pairs):
-        if d[v] == 0:
-            raise HypergraphError(f"vertex {v} has degree 0 among incident pairs")
-    eb_data = np.empty(n_l)
-    for i, (v, e) in enumerate(pairs):
-        norm = sum(1.0 / d[vp] for vp in h.edges[e])
-        eb_data[i] = (1.0 / d[v]) / norm
-    p_e_back = sp.csr_array((eb_data, (e_ids, rows)), shape=(h.num_hyperedges, n_l))
+    # bincount adds in pair order, i.e. e ascending per vertex and v
+    # ascending per hyperedge.
+    w = 1.0 / delta[e_of]
+    vb_data = w / np.bincount(v_of, weights=w, minlength=nv)[v_of]
+    p_v_back = sp.csr_array((vb_data, (v_of, rows)), shape=(nv, n_l))
+    u = 1.0 / d[v_of]
+    eb_data = u / np.bincount(e_of, weights=u, minlength=ne)[e_of]
+    p_e_back = sp.csr_array((eb_data, (e_of, rows)), shape=(ne, n_l))
 
     return ProjectionSet(p_v, p_e, p_v_back, p_e_back, h_r)
 
@@ -208,18 +221,28 @@ def renormalized_operator(le: LineExpansion) -> NormalizedOperator:
     """D^{-1/2} (sI + A_l) D^{-1/2} with self-loop weight s = w_v + w_e.
 
     Using s = w_v + w_e (rather than literal 2) keeps the operator invariant
-    under joint scaling of (w_v, w_e); it equals 2 at w_v = w_e = 1.
+    under joint scaling of (w_v, w_e); it equals 2 at w_v = w_e = 1. Built
+    from the line nodes alone as w_e P_v P_v^T + w_v P_e P_e^T with degree
+    D(v, e) = w_e d(v) + w_v delta(e) (see the module docstring).
     """
     if le.num_nodes == 0:
         raise HypergraphError("line expansion is empty")
-    s = le.w_v + le.w_e
-    a_tilde = le.adjacency() + s * sp.identity(le.num_nodes, format="csr")
-    rowsum = np.asarray(a_tilde.sum(axis=1)).ravel()
-    assert (rowsum > 0).all()
-    d_inv_sqrt = sp.diags_array(1.0 / np.sqrt(rowsum), format="csr")
-    return NormalizedOperator(
-        sp.csr_array(d_inv_sqrt @ a_tilde @ d_inv_sqrt), le.w_v, le.w_e, s
-    )
+    n = le.num_nodes
+    v_of, e_of = np.asarray(le.nodes, dtype=np.int64).T
+    rows = np.arange(n)
+    ones = np.ones(n)
+    p_v = sp.csr_array((ones, (rows, v_of)))
+    p_e = sp.csr_array((ones, (rows, e_of)))
+    # Adding the two drops the explicit zeros of a zero weight. Sorted
+    # columns keep the row-sum order of op @ h fixed.
+    a_tilde = le.w_e * (p_v @ p_v.T) + le.w_v * (p_e @ p_e.T)
+    a_tilde.sort_indices()
+    d = np.bincount(v_of)[v_of]
+    delta = np.bincount(e_of)[e_of]
+    d_inv_sqrt = 1.0 / np.sqrt(le.w_e * d + le.w_v * delta)
+    entry_rows = np.repeat(rows, np.diff(a_tilde.indptr))
+    a_tilde.data = d_inv_sqrt[entry_rows] * a_tilde.data * d_inv_sqrt[a_tilde.indices]
+    return NormalizedOperator(a_tilde, le.w_v, le.w_e, le.w_v + le.w_e)
 
 
 def clique_adjacency(h: Hypergraph) -> sp.csr_array:

@@ -1,11 +1,10 @@
-"""On-disk formats: line-expansion dumps, coordinate matrices, features,
-labels, splits, and key = value config files."""
+"""On-disk formats: line-expansion dumps, features, labels, splits, and
+key = value config files."""
 from __future__ import annotations
 
 import json
 
 import numpy as np
-import scipy.sparse as sp
 
 from .expansions import LineExpansion, line_expand
 from .hypergraph import Hypergraph, ParseError
@@ -39,27 +38,37 @@ def parse_line_expansion_dump(
     parts = header.split()
     if len(parts) != 2:
         raise ParseError("header must be '<num_line_nodes> <num_edges>'", line_no)
-    n, m = int(parts[0]), int(parts[1])
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("non-integer header", line_no) from None
+    if n < 0 or m < 0:
+        raise ParseError("negative counts in header", line_no)
     if len(lines) - 1 != n + m:
         raise ParseError(f"expected {n} node lines and {m} edge lines", line_no)
     labels: list[tuple[int, int]] | None = []
-    for line_no, ln in lines[1 : 1 + n]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ParseError("node line must have two fields", line_no)
-        if toks[0] == "?":
-            labels = None
-        elif labels is not None:
-            labels.append((int(toks[0]), int(toks[1])))
     edges = []
-    for line_no, ln in lines[1 + n :]:
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ParseError("edge line must have two fields", line_no)
-        i, j = int(toks[0]), int(toks[1])
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ParseError(f"bad edge ({i}, {j})", line_no)
-        edges.append((i, j))
+    try:
+        for line_no, ln in lines[1 : 1 + n]:
+            toks = ln.split()
+            if len(toks) != 2:
+                raise ParseError("node line must have two fields", line_no)
+            if toks[0] == "?":
+                labels = None
+            elif labels is not None:
+                labels.append((int(toks[0]), int(toks[1])))
+        for line_no, ln in lines[1 + n :]:
+            toks = ln.split()
+            if len(toks) != 2:
+                raise ParseError("edge line must have two fields", line_no)
+            i, j = int(toks[0]), int(toks[1])
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ParseError(f"bad edge ({i}, {j})", line_no)
+            edges.append((i, j))
+    except ParseError:
+        raise
+    except ValueError:
+        raise ParseError("non-integer field", line_no) from None
     return UnlabeledGraph.from_edges(n, edges), labels
 
 
@@ -83,29 +92,6 @@ def back_project_labeled_from_pairs(pairs: list[tuple[int, int]]) -> Hypergraph:
     for v, e in pairs:
         members[e].append(v)
     return Hypergraph(nv, tuple(tuple(sorted(m)) for m in members))
-
-
-def render_coo_matrix(m: sp.sparray) -> str:
-    """Coordinate text: "<rows> <cols> <nnz>" then "<r> <c> <value>" lines,
-    row-major order."""
-    coo = sp.coo_array(m)
-    order = np.lexsort((coo.col, coo.row))
-    out = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    for k in order:
-        out.append(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}")
-    return "\n".join(out) + "\n"
-
-
-def parse_coo_matrix(text: str) -> sp.csr_array:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    rows_n, cols_n, nnz = (int(x) for x in lines[0].split())
-    rows, cols, data = [], [], []
-    for ln in lines[1 : 1 + nnz]:
-        r, c, v = ln.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        data.append(float(v))
-    return sp.csr_array((data, (rows, cols)), shape=(rows_n, cols_n))
 
 
 def load_features(path: str) -> np.ndarray:

@@ -379,18 +379,22 @@ def train(
     best_val = -1.0
     best_model = model.copy()
     since_best = 0
-    for _epoch in range(config.epochs):
-        op = (
-            sampled_operator(le, scfg, rng).matrix if config.sampling else full_op
-        )
-        logits, caches = forward(model, op, p, x)
+    op = full_op
+    for epoch in range(config.epochs):
+        # With sampling off, the previous epoch's validation forward already
+        # holds the full-operator logits and caches of the current model.
+        if config.sampling:
+            op = sampled_operator(le, scfg, rng).matrix
+            logits, caches = forward(model, op, p, x)
+        elif epoch == 0:
+            logits, caches = forward(model, op, p, x)
         loss = cross_entropy(logits, dataset.labels, dataset.train_mask)
         if config.weight_decay:
             loss += 0.5 * config.weight_decay * sum(
                 float((t**2).sum()) for t in model.thetas
             )
         if not np.isfinite(loss):
-            raise TrainingError(f"training diverged at epoch {_epoch}")
+            raise TrainingError(f"training diverged at epoch {epoch}")
         grads = backward(
             model,
             op,
@@ -405,8 +409,8 @@ def train(
             t -= config.lr * g
         losses.append(loss)
 
-        eval_logits, _ = forward(model, full_op, p, x)
-        val = accuracy(eval_logits, dataset.labels, dataset.val_mask)
+        logits, caches = forward(model, full_op, p, x)
+        val = accuracy(logits, dataset.labels, dataset.val_mask)
         val_accs.append(val)
         if dataset.val_mask.any():
             if val > best_val:

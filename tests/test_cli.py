@@ -79,6 +79,15 @@ class TestStats:
         assert "line nodes          8" in out
         assert "line edges          10" in out
 
+    @pytest.mark.parametrize("flag", ["--delta-v", "--delta-e"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_delta_is_usage_error(self, capsys, worked_file,
+                                               flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "--input", str(worked_file), flag, value])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_default_suite_passes(self, capsys, tmp_path):
@@ -97,6 +106,13 @@ class TestVerify:
                      "--reconstruct"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] unlabeled-round-trip" in out
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_trials_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", value])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -198,3 +214,21 @@ class TestReconstruct:
         dump.write_text("4 3\n? ?\n? ?\n? ?\n? ?\n0 1\n0 2\n0 3\n")
         assert main(["reconstruct", "--input", str(dump),
                      "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a b\n", "line 1: non-integer header"),
+            ("-1 0\n", "line 1: negative counts in header"),
+            ("2 1\n0 0\n1 0\n0 x\n", "line 4: non-integer field"),
+            ("2 1\n0 z\n1 0\n0 1\n", "line 2: non-integer field"),
+        ],
+    )
+    def test_malformed_dump_is_parse_error(self, capsys, tmp_path, text,
+                                           message):
+        dump = tmp_path / "bad.txt"
+        dump.write_text(text)
+        assert main(["reconstruct", "--input", str(dump),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: {message}\n"

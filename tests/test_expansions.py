@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linexp as lx
 from linexp.expansions import line_graph, star_expansion_graph
@@ -190,6 +191,64 @@ class TestRenormalizedOperator:
                 assert np.abs(
                     base.matrix.toarray() - scaled.matrix.toarray()
                 ).max() <= 1e-12
+
+
+@st.composite
+def messy_hypergraphs(draw):
+    """Small hypergraphs with isolated vertices, singleton hyperedges and
+    duplicate hyperedges mixed in."""
+    nv = draw(st.integers(1, 8))
+    edge = st.sets(st.integers(0, nv - 1), min_size=1).map(
+        lambda vs: tuple(sorted(vs))
+    )
+    edges = draw(st.lists(edge, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))
+    if draw(st.booleans()):
+        edges.append((draw(st.integers(0, nv - 1)),))
+    isolated = draw(st.integers(0, 2))
+    return lx.Hypergraph(nv + isolated, tuple(edges))
+
+
+class TestClosedFormOracle:
+    """projections and renormalized_operator against their loop
+    definitions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_projections(self, h):
+        p = lx.projections(h)
+        pairs = h.pairs()
+        d = [len(h.vertex_edges(v)) for v in range(h.num_vertices)]
+        delta = [len(verts) for verts in h.edges]
+        n = len(pairs)
+        p_v = np.zeros((n, h.num_vertices))
+        p_e = np.zeros((n, h.num_hyperedges))
+        p_v_back = np.zeros((h.num_vertices, n))
+        p_e_back = np.zeros((h.num_hyperedges, n))
+        for i, (v, e) in enumerate(pairs):
+            p_v[i, v] = p_e[i, e] = 1.0
+            p_v_back[v, i] = (1 / delta[e]) / sum(
+                1 / delta[f] for f in h.vertex_edges(v)
+            )
+            p_e_back[e, i] = (1 / d[v]) / sum(1 / d[u] for u in h.edges[e])
+        assert np.array_equal(p.p_v.toarray(), p_v)
+        assert np.array_equal(p.p_e.toarray(), p_e)
+        assert np.array_equal(p.h_r.toarray(), np.hstack([p_v, p_e]))
+        assert np.abs(p.p_v_back.toarray() - p_v_back).max() <= 1e-12
+        assert np.abs(p.p_e_back.toarray() - p_e_back).max() <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_operator(self, h):
+        for w_v, w_e in ((1.0, 1.0), (0.3, 1.7), (0.0, 1.0), (2.5, 0.0)):
+            le = lx.line_expand(h, w_v, w_e)
+            a_tilde = le.adjacency().toarray() + (w_v + w_e) * np.eye(le.num_nodes)
+            scale = 1 / np.sqrt(a_tilde.sum(axis=1))
+            expected = scale[:, None] * a_tilde * scale[None, :]
+            op = lx.renormalized_operator(le)
+            assert op.self_loop_weight == w_v + w_e
+            assert np.abs(op.matrix.toarray() - expected).max() <= 1e-12
 
 
 class TestCliqueAdjacency:

@@ -22,6 +22,56 @@ from linexp.learn import (
 )
 
 
+def recorded_problem():
+    """24 vertices, 3 noisy classes, train/val/test split 10/6/8."""
+    h = lx.random_hypergraph(24, 14, 0.15, seed=5)
+    rng = np.random.default_rng(11)
+    labels = rng.integers(3, size=24)
+    feats = np.eye(3)[labels] + 0.4 * rng.normal(size=(24, 3))
+    order = rng.permutation(24)
+    masks = [np.zeros(24, dtype=bool) for _ in range(3)]
+    masks[0][order[:10]] = True
+    masks[1][order[10:16]] = True
+    masks[2][order[16:]] = True
+    return h, lx.Dataset(feats, labels, *masks, 3)
+
+
+def recorded_config(sampling):
+    return lx.TrainConfig(epochs=40, lr=2.0, hidden=8, seed=0, sampling=sampling,
+                          delta_v=2, delta_e=2, early_stopping=True, patience=5)
+
+
+RECORDED_FULL = {
+    "losses": [
+        1.1023325975493203, 1.0680749563036567, 1.0379744693020405,
+        1.0076640409322113, 0.9773435657326208, 0.9482691694798676,
+        0.9231301296197894, 0.9015833949848794, 0.883190361074728,
+        0.867611121187176, 0.8542119847379425, 0.8430378320803605,
+        0.8339874470127917, 0.8261275065044584, 0.8194662043959271,
+        0.8134525442112354, 0.807953097836237, 0.8027661309102188,
+        0.7978212157438092, 0.7919027189615028, 0.7839560253979106,
+        0.7764240069985037,
+    ],
+    "val_accuracies": [0, 0, 0, 0, 0, 1 / 6, 1 / 6, 1 / 3, 1 / 3, 1 / 3, 1 / 3,
+                       1 / 3, 1 / 3, 1 / 2, 1 / 2, 2 / 3, 2 / 3, 2 / 3, 2 / 3,
+                       2 / 3, 1 / 2, 1 / 2],
+    "test_accuracy": 0.875,
+}
+RECORDED_SAMPLED = {
+    "losses": [
+        1.1095169449880604, 1.070806725614172, 1.025541329807273,
+        1.012977772389159, 0.9983741529333658, 0.9836671545333321,
+        0.9232921202778772, 0.92920607266294, 0.8924762649042167,
+        0.9291546263791204, 0.9051999387448607, 0.8927384536232429,
+        0.811241753953707, 0.8202092528226201, 0.782284652392981,
+        0.7994494735246587, 0.8802986916288111, 0.830356573391833,
+    ],
+    "val_accuracies": [0, 1 / 6, 0, 0, 0, 1 / 6, 1 / 6, 1 / 3, 1 / 2, 1 / 2,
+                       1 / 2, 2 / 3, 1 / 2, 1 / 2, 1 / 3, 1 / 2, 2 / 3, 2 / 3],
+    "test_accuracy": 0.625,
+}
+
+
 def make_model(h, d_in, hidden, d_out, layers, seed=0, w_v=1.0, w_e=1.0):
     rng = np.random.default_rng(seed)
     thetas = init_params(d_in, hidden, d_out, layers, rng)
@@ -251,6 +301,33 @@ class TestTrain:
                                 patience=5)
         _, report = lx.train(h, ds, config)
         assert len(report.losses) < 500
+
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_recorded_run_with_early_stopping(self, sampling):
+        # Recorded with a separate training and validation forward per
+        # epoch; sharing them when sampling is off must change no number.
+        _, report = lx.train(*recorded_problem(), recorded_config(sampling))
+        expected = RECORDED_SAMPLED if sampling else RECORDED_FULL
+        assert report.losses == pytest.approx(expected["losses"], rel=1e-12)
+        assert report.val_accuracies == expected["val_accuracies"]
+        assert report.test_accuracy == expected["test_accuracy"]
+
+    @pytest.mark.parametrize("sampling, calls", [(False, 22), (True, 41)])
+    def test_forwards_per_call(self, monkeypatch, sampling, calls):
+        # Full batch: one forward per epoch plus the first and the final
+        # test forward. Sampled: a sampled and a full forward per epoch.
+        count = [0]
+
+        def counting_forward(*args):
+            count[0] += 1
+            return forward(*args)
+
+        monkeypatch.setattr(lx.learn, "forward", counting_forward)
+        h, ds = separable_toy(vertices_per_class=6, seed=3)
+        config = lx.TrainConfig(epochs=20, seed=3, sampling=sampling,
+                                delta_v=2, delta_e=2)
+        lx.train(h, ds, config)
+        assert count[0] == calls
 
     def test_report_serializable(self):
         h, ds = separable_toy(vertices_per_class=5, seed=6)
