@@ -26,6 +26,7 @@ from .expansions import (
     clique_adjacency,
     effective_vertex_adjacency,
     line_expand,
+    pair_groups,
     projections,
     renormalized_operator,
     size_formulas,

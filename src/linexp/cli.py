@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--splits", required=True)
     p.add_argument("--config")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=_positive_int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default="train_report.json")
     p.set_defaults(func=cmd_train)

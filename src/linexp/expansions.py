@@ -1,9 +1,12 @@
 """Clique, star, and line expansions; projection matrices; normalized operator.
 
 Line nodes are the incident (vertex, hyperedge) pairs, ordered by
-(v ascending, e ascending). Two line nodes are adjacent when they share the
-vertex (kind "vertex-similar", carrying weight w_e) or the hyperedge
-(kind "hyperedge-similar", carrying weight w_v).
+(v ascending, e ascending), and they are all a LineExpansion stores. Two
+line nodes are adjacent when they share the vertex (kind "vertex-similar",
+carrying weight w_e) or the hyperedge (kind "hyperedge-similar", carrying
+weight w_v). :func:`pair_groups` groups the line nodes by vertex and by
+hyperedge in one pass; the line edges are the pairs within each group, built
+from it only when asked for (dumps, reconstruction, reference checks).
 
 Everything below the line expansion itself is sparse algebra on the pair
 arrays v_of, e_of (the vertex and hyperedge of each line node):
@@ -21,8 +24,9 @@ arrays v_of, e_of (the vertex and hyperedge of each line node):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,61 +55,67 @@ def _check_analysis_size(h: Hypergraph) -> None:
         )
 
 
+def pair_groups(
+    nodes: tuple[tuple[int, int], ...],
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Line-node ids grouped by vertex and by hyperedge.
+
+    ``by_vertex[v]`` lists the ids of the nodes (v, *) and ``by_edge[e]``
+    those of the nodes (*, e), each ascending. A vertex or hyperedge below
+    the largest one listed that has no node gets an empty group.
+    """
+    by_vertex = [[] for _ in range(1 + max((v for v, _ in nodes), default=-1))]
+    by_edge = [[] for _ in range(1 + max((e for _, e in nodes), default=-1))]
+    for i, (v, e) in enumerate(nodes):
+        by_vertex[v].append(i)
+        by_edge[e].append(i)
+    return by_vertex, by_edge
+
+
 @dataclass(frozen=True)
 class LineExpansion:
-    """Line expansion of a hypergraph.
+    """Line expansion of a hypergraph, stored as its incidence pairs.
 
-    ``nodes[i]`` is the (vertex, hyperedge) pair of line node i; ``edges`` are
-    undirected (i, j, kind) triples with i < j, vertex-similar groups first.
+    ``nodes[i]`` is the (vertex, hyperedge) pair of line node i. ``edges``
+    are built from :func:`pair_groups` on first use: undirected
+    (i, j, kind) triples with i < j, the vertex-similar pairs of each vertex
+    group in vertex order first, then the hyperedge-similar pairs.
     """
 
     nodes: tuple[tuple[int, int], ...]
-    edges: tuple[tuple[int, int, str], ...]
     w_v: float
     w_e: float
-    node_index: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "node_index", {pair: i for i, pair in enumerate(self.nodes)}
-        )
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, str], ...]:
+        by_vertex, by_edge = pair_groups(self.nodes)
+        out: list[tuple[int, int, str]] = []
+        for groups, kind in ((by_vertex, VERTEX_SIMILAR), (by_edge, HYPEREDGE_SIMILAR)):
+            for ids in groups:
+                out += [(i, j, kind) for i, j in combinations(ids, 2)]
+        return tuple(out)
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_weight(self, kind: str) -> float:
-        return self.w_e if kind == VERTEX_SIMILAR else self.w_v
-
     def adjacency(self) -> sp.csr_array:
         """Weighted symmetric adjacency A_l (w_e on vertex-similar edges,
-        w_v on hyperedge-similar edges)."""
+        w_v on hyperedge-similar edges), built from the edge list."""
         n = self.num_nodes
         rows, cols, data = [], [], []
         for i, j, kind in self.edges:
-            w = self.edge_weight(kind)
+            w = self.w_e if kind == VERTEX_SIMILAR else self.w_v
             rows += [i, j]
             cols += [j, i]
             data += [w, w]
         return sp.csr_array(
             (np.asarray(data, dtype=np.float64), (rows, cols)), shape=(n, n)
         )
-
-    def neighbors(self, i: int, kind: str) -> list[int]:
-        """Line nodes adjacent to i through edges of the given kind."""
-        out = []
-        for a, b, k in self.edges:
-            if k != kind:
-                continue
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -135,24 +145,7 @@ def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpans
         raise HypergraphError("weights must be nonnegative")
     if w_v == 0 and w_e == 0:
         raise HypergraphError("w_v and w_e must not both be zero")
-    nodes = tuple(h.pairs())
-    index = {pair: i for i, pair in enumerate(nodes)}
-    edges: list[tuple[int, int, str]] = []
-    # Same vertex, different hyperedge.
-    for v in range(h.num_vertices):
-        ids = [index[(v, e)] for e in h.vertex_edges(v)]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                i, j = ids[a], ids[b]
-                edges.append((min(i, j), max(i, j), VERTEX_SIMILAR))
-    # Same hyperedge, different vertex.
-    for e, verts in enumerate(h.edges):
-        ids = [index[(v, e)] for v in verts]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                i, j = ids[a], ids[b]
-                edges.append((min(i, j), max(i, j), HYPEREDGE_SIMILAR))
-    return LineExpansion(nodes, tuple(edges), float(w_v), float(w_e))
+    return LineExpansion(tuple(h.pairs()), float(w_v), float(w_e))
 
 
 def size_formulas(h: Hypergraph) -> tuple[int, int]:
@@ -162,6 +155,13 @@ def size_formulas(h: Hypergraph) -> tuple[int, int]:
     n_nodes = int(d.sum() + delta.sum()) // 2
     n_edges = int((d * (d - 1)).sum() // 2 + (delta * (delta - 1)).sum() // 2)
     return n_nodes, n_edges
+
+
+def _indicator(of: np.ndarray, width: int) -> sp.csr_array:
+    """Binary len(of) x width matrix with a 1 at (i, of[i]): P_v from v_of,
+    P_e from e_of."""
+    n = len(of)
+    return sp.csr_array((np.ones(n), (np.arange(n), of)), shape=(n, width))
 
 
 def projections(h: Hypergraph) -> ProjectionSet:
@@ -184,14 +184,13 @@ def projections(h: Hypergraph) -> ProjectionSet:
         dtype=np.int64,
         count=n_l,
     )
-    rows = np.arange(n_l)
-    ones = np.ones(n_l)
-    p_v = sp.csr_array((ones, (rows, v_of)), shape=(n_l, nv))
-    p_e = sp.csr_array((ones, (rows, e_of)), shape=(n_l, ne))
+    p_v = _indicator(v_of, nv)
+    p_e = _indicator(e_of, ne)
     h_r = sp.csr_array(sp.hstack([p_v, p_e], format="csr"))
 
     # bincount adds in pair order, i.e. e ascending per vertex and v
     # ascending per hyperedge.
+    rows = np.arange(n_l)
     w = 1.0 / delta[e_of]
     vb_data = w / np.bincount(v_of, weights=w, minlength=nv)[v_of]
     p_v_back = sp.csr_array((vb_data, (v_of, rows)), shape=(nv, n_l))
@@ -229,10 +228,8 @@ def renormalized_operator(le: LineExpansion) -> NormalizedOperator:
         raise HypergraphError("line expansion is empty")
     n = le.num_nodes
     v_of, e_of = np.asarray(le.nodes, dtype=np.int64).T
-    rows = np.arange(n)
-    ones = np.ones(n)
-    p_v = sp.csr_array((ones, (rows, v_of)))
-    p_e = sp.csr_array((ones, (rows, e_of)))
+    p_v = _indicator(v_of, v_of.max() + 1)
+    p_e = _indicator(e_of, e_of.max() + 1)
     # Adding the two drops the explicit zeros of a zero weight. Sorted
     # columns keep the row-sum order of op @ h fixed.
     a_tilde = le.w_e * (p_v @ p_v.T) + le.w_v * (p_e @ p_e.T)
@@ -240,7 +237,7 @@ def renormalized_operator(le: LineExpansion) -> NormalizedOperator:
     d = np.bincount(v_of)[v_of]
     delta = np.bincount(e_of)[e_of]
     d_inv_sqrt = 1.0 / np.sqrt(le.w_e * d + le.w_v * delta)
-    entry_rows = np.repeat(rows, np.diff(a_tilde.indptr))
+    entry_rows = np.repeat(np.arange(n), np.diff(a_tilde.indptr))
     a_tilde.data = d_inv_sqrt[entry_rows] * a_tilde.data * d_inv_sqrt[a_tilde.indices]
     return NormalizedOperator(a_tilde, le.w_v, le.w_e, le.w_v + le.w_e)
 

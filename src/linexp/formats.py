@@ -6,15 +6,16 @@ import json
 
 import numpy as np
 
-from .expansions import LineExpansion, line_expand
+from .expansions import LineExpansion, size_formulas
 from .hypergraph import Hypergraph, ParseError
-from .learn import Dataset, TrainConfig
+from .learn import ACTIVATIONS, Dataset, TrainConfig
 from .reconstruction import UnlabeledGraph, back_project_labeled
 
 
 def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
     """Dump format: "<n> <m>"; one "<v> <e>" line per node ("? ?" when
-    unlabeled); one "<i> <j>" line per edge."""
+    unlabeled); one "<i> <j>" line per edge, indexing the node lines as
+    listed (from 0)."""
     out = [f"{le.num_nodes} {le.num_edges}"]
     for v, e in le.nodes:
         out.append(f"{v} {e}" if labeled else "? ?")
@@ -56,7 +57,10 @@ def parse_line_expansion_dump(
             if toks[0] == "?":
                 labels = None
             elif labels is not None:
-                labels.append((int(toks[0]), int(toks[1])))
+                v, e = int(toks[0]), int(toks[1])
+                if v < 0 or e < 0:
+                    raise ParseError(f"negative label ({v}, {e})", line_no)
+                labels.append((v, e))
         for line_no, ln in lines[1 + n :]:
             toks = ln.split()
             if len(toks) != 2:
@@ -73,53 +77,75 @@ def parse_line_expansion_dump(
 
 
 def hypergraph_from_labeled_dump(text: str) -> Hypergraph:
+    """The hypergraph whose incidence pairs are the dump's node labels.
+
+    Each edge must join two labels that share a vertex or a hyperedge, and
+    the distinct edges must number ``size_formulas``: then they are exactly
+    the line edges of the labels.
+    """
     graph, labels = parse_line_expansion_dump(text)
     if labels is None:
         raise ParseError("dump is unlabeled", 1)
-    le = line_expand(back_project_labeled_from_pairs(labels))
-    # sanity: dumped topology must match the labels
-    dumped = set(graph.edges)
-    rebuilt = {(i, j) for i, j, _ in le.edges}
-    if dumped != rebuilt:
-        raise ParseError("edge list inconsistent with labels", 1)
-    return back_project_labeled(le)
-
-
-def back_project_labeled_from_pairs(pairs: list[tuple[int, int]]) -> Hypergraph:
-    nv = max((v for v, _ in pairs), default=-1) + 1
-    ne = max((e for _, e in pairs), default=-1) + 1
-    members: list[list[int]] = [[] for _ in range(ne)]
-    for v, e in pairs:
-        members[e].append(v)
-    return Hypergraph(nv, tuple(tuple(sorted(m)) for m in members))
+    h = back_project_labeled(LineExpansion(tuple(labels), 1.0, 1.0))
+    for i, j in graph.edges:
+        (v, e), (u, f) = labels[i], labels[j]
+        if v != u and e != f:
+            raise ParseError(f"edge ({i}, {j}) joins labels ({v}, {e}) and ({u}, {f})"
+                             ", which share neither vertex nor hyperedge")
+    expected = size_formulas(h)[1]
+    if len(graph.edges) != expected:
+        raise ParseError(f"{len(graph.edges)} distinct edges, but the labels have {expected}")
+    return h
 
 
 def load_features(path: str) -> np.ndarray:
-    """CSV, one row per vertex, numeric columns, no header."""
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    """CSV, one row per vertex, finite numeric columns, no header."""
+    try:
+        x = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"features: {exc}") from None
+    if not np.isfinite(x).all():
+        v, c = np.argwhere(~np.isfinite(x))[0]
+        raise ParseError(f"feature of vertex {v}, column {c} is {x[v, c]}, not finite")
+    return x
 
 
 def load_labels(path: str, num_vertices: int) -> np.ndarray:
     """Text lines "<vertex_id> <class_id>"; unlisted vertices get -1."""
     labels = np.full(num_vertices, -1, dtype=np.int64)
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for i, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            v, c = line.split()
-            labels[int(v)] = int(c)
+            try:
+                v, c = map(int, line.split())
+            except ValueError:
+                raise ParseError("label line must be '<vertex_id> <class_id>'", i) from None
+            if not 0 <= v < num_vertices:
+                raise ParseError(f"vertex id {v} out of range for {num_vertices} vertices", i)
+            labels[v] = c
     return labels
 
 
 def load_splits(path: str, num_vertices: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """JSON object with "train", "val", "test" arrays of vertex ids."""
     with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
+        try:
+            obj = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    if not isinstance(obj, dict):
+        raise ParseError("splits must be a JSON object")
     masks = []
     for key in ("train", "val", "test"):
+        ids = obj.get(key, [])
+        if not isinstance(ids, list) or not all(
+            type(v) is int and 0 <= v < num_vertices for v in ids
+        ):
+            raise ParseError(f"split {key!r} must list vertex ids in 0..{num_vertices - 1}")
         mask = np.zeros(num_vertices, dtype=bool)
-        mask[np.asarray(obj.get(key, []), dtype=np.int64)] = True
+        mask[ids] = True
         masks.append(mask)
     return masks[0], masks[1], masks[2]
 
@@ -139,10 +165,12 @@ _CONFIG_TYPES = {
     "leaky_slope": float,
     "sampling": None,  # on/off
 }
+_CONFIG_AT_LEAST_ONE = ("layers", "hidden", "epochs", "delta_v", "delta_e")
 
 
 def load_train_config(path: str) -> TrainConfig:
-    """"key = value" lines; unknown keys rejected."""
+    """"key = value" lines; unknown keys, values of the wrong type, an
+    unknown activation and sizes or counts below 1 are rejected."""
     cfg = TrainConfig()
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
@@ -160,7 +188,16 @@ def load_train_config(path: str) -> TrainConfig:
                     raise ParseError("sampling must be on or off", i)
                 cfg.sampling = value == "on"
             else:
-                setattr(cfg, key, _CONFIG_TYPES[key](value))
+                kind = _CONFIG_TYPES[key]
+                try:
+                    parsed = kind(value)
+                except ValueError:
+                    raise ParseError(f"{key} must be {kind.__name__}, got {value!r}", i) from None
+                if key in _CONFIG_AT_LEAST_ONE and parsed < 1:
+                    raise ParseError(f"{key} must be at least 1, got {parsed}", i)
+                if key == "activation" and parsed not in ACTIVATIONS:
+                    raise ParseError(f"activation must be one of {ACTIVATIONS}, got {value!r}", i)
+                setattr(cfg, key, parsed)
     return cfg
 
 

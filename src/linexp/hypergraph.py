@@ -17,10 +17,10 @@ class HypergraphError(ValueError):
 
 
 class ParseError(HypergraphError):
-    """Malformed hypergraph text; carries the offending line number."""
+    """Malformed input text; carries the offending line number, if any."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

@@ -14,16 +14,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expansions import (
-    HYPEREDGE_SIMILAR,
-    VERTEX_SIMILAR,
     LineExpansion,
     NormalizedOperator,
     ProjectionSet,
     line_expand,
+    pair_groups,
     projections,
     renormalized_operator,
 )
 from .hypergraph import Hypergraph, HypergraphError, validate
+
+
+ACTIVATIONS = ("relu", "leaky-relu")
 
 
 class TrainingError(RuntimeError):
@@ -103,7 +105,7 @@ class TrainConfig:
     delta_v: int = 16
     delta_e: int = 16
     seed: int = 0
-    activation: str = "relu"   # "relu" | "leaky-relu"
+    activation: str = "relu"   # one of ACTIVATIONS
     leaky_slope: float = 0.01
     sampling: bool = False
     early_stopping: bool = False
@@ -270,19 +272,17 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     return float((logits[idx].argmax(axis=1) == labels[idx]).mean())
 
 
-def _neighbor_groups(le: LineExpansion) -> tuple[list[list[int]], list[list[int]]]:
-    """Per line node: (vertex-similar neighbors, hyperedge-similar neighbors)."""
-    by_vertex: dict[int, list[int]] = {}
-    by_edge: dict[int, list[int]] = {}
-    for i, (v, e) in enumerate(le.nodes):
-        by_vertex.setdefault(v, []).append(i)
-        by_edge.setdefault(e, []).append(i)
-    vsim = []
-    esim = []
-    for i, (v, e) in enumerate(le.nodes):
-        vsim.append([j for j in by_vertex[v] if j != i])
-        esim.append([j for j in by_edge[e] if j != i])
-    return vsim, esim
+def _draw(
+    neigh: list[int], threshold: int, rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """The whole set with scale 1 when it has at most ``threshold`` members,
+    else a sorted uniform sample of ``threshold`` of them with scale
+    |N|/threshold."""
+    arr = np.asarray(neigh, dtype=np.int64)
+    if len(arr) <= threshold:
+        return arr, 1.0
+    pick = rng.choice(arr, size=threshold, replace=False)
+    return np.sort(pick), len(arr) / threshold
 
 
 def sample_neighbors(
@@ -299,17 +299,10 @@ def sample_neighbors(
     """
     if not 0 <= node < le.num_nodes:
         raise IndexError(f"line node {node} out of range")
-    vsim, esim = _neighbor_groups(le)
-
-    def draw(neigh: list[int], threshold: int) -> tuple[np.ndarray, float]:
-        arr = np.asarray(neigh, dtype=np.int64)
-        if len(arr) <= threshold:
-            return arr, 1.0
-        pick = rng.choice(arr, size=threshold, replace=False)
-        return np.sort(pick), len(arr) / threshold
-
-    v_pick, v_scale = draw(vsim[node], cfg.delta_v)
-    e_pick, e_scale = draw(esim[node], cfg.delta_e)
+    by_vertex, by_edge = pair_groups(le.nodes)
+    v, e = le.nodes[node]
+    v_pick, v_scale = _draw([j for j in by_vertex[v] if j != node], cfg.delta_v, rng)
+    e_pick, e_scale = _draw([j for j in by_edge[e] if j != node], cfg.delta_e, rng)
     return SampledNeighborhood(node, v_pick, v_scale, e_pick, e_scale)
 
 
@@ -322,24 +315,17 @@ def sampled_operator(
     scaled by |N|/threshold when cut; self-loops weigh w_v + w_e. Row-wise
     sampling can make the matrix asymmetric before normalization.
     """
-    vsim, esim = _neighbor_groups(le)
+    by_vertex, by_edge = pair_groups(le.nodes)
     n = le.num_nodes
     rows, cols, data = [], [], []
-
-    def add(i: int, neigh: list[int], threshold: int, weight: float):
-        arr = np.asarray(neigh, dtype=np.int64)
-        scale = 1.0
-        if len(arr) > threshold:
-            arr = rng.choice(arr, size=threshold, replace=False)
-            scale = len(neigh) / threshold
-        for j in arr:
-            rows.append(i)
-            cols.append(int(j))
-            data.append(weight * scale)
-
-    for i in range(n):
-        add(i, vsim[i], cfg.delta_v, le.w_e)
-        add(i, esim[i], cfg.delta_e, le.w_v)
+    for i, (v, e) in enumerate(le.nodes):
+        for group, threshold, weight in (
+            (by_vertex[v], cfg.delta_v, le.w_e), (by_edge[e], cfg.delta_e, le.w_v)
+        ):
+            pick, scale = _draw([j for j in group if j != i], threshold, rng)
+            rows += [i] * len(pick)
+            cols += pick.tolist()
+            data += [weight * scale] * len(pick)
     s = le.w_v + le.w_e
     a_tilde = sp.csr_array(
         (np.asarray(data), (rows, cols)), shape=(n, n)

@@ -13,7 +13,7 @@ import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .expansions import LineExpansion
+from .expansions import LineExpansion, pair_groups
 from .hypergraph import Hypergraph, HypergraphError, hyperedge_degrees, vertex_degrees
 
 MAX_KRAUSZ_NODES = 64
@@ -116,10 +116,9 @@ def back_project_labeled(
         if num_hyperedges < ne:
             raise HypergraphError("num_hyperedges smaller than labels require")
         ne = num_hyperedges
-    members: list[list[int]] = [[] for _ in range(ne)]
-    for v, e in pairs:
-        members[e].append(v)
-    return Hypergraph(nv, tuple(tuple(sorted(m)) for m in members))
+    _, by_edge = pair_groups(pairs)
+    members = tuple(tuple(sorted(pairs[i][0] for i in ids)) for ids in by_edge)
+    return Hypergraph(nv, members + ((),) * (ne - len(members)))
 
 
 def _krausz_partitions(g: UnlabeledGraph):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,58 @@ class TestTrain:
                      "--config", str(cfg),
                      "--out", str(tmp_path / "r.json")]) == 2
 
+    def run_with(self, tmp_path, labels=None, splits=None, config=None,
+                 features=None, extra=()):
+        """Train on the toy with one input file replaced by bad text."""
+        hg, feats, lab, spl = self.write_toy(tmp_path)
+        for text, path in ((labels, lab), (splits, spl), (features, feats)):
+            if text is not None:
+                path.write_text(text)
+        args = ["train", "--hypergraph", str(hg), "--features", str(feats),
+                "--labels", str(lab), "--splits", str(spl),
+                "--epochs", "2", "--out", str(tmp_path / "r.json"), *extra]
+        if config is not None:
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        return main(args)
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("labels", "0 0\n99 1\n", "line 2: vertex id 99 out of range for 12 vertices"),
+            ("labels", "-1 1\n", "line 1: vertex id -1 out of range for 12 vertices"),
+            ("labels", "0 0 0\n", "line 1: label line must be '<vertex_id> <class_id>'"),
+            ("splits", '{"train": [0], "test": [99]}',
+             "split 'test' must list vertex ids in 0..11"),
+            ("splits", '{"train": [0], "test": [-1]}',
+             "split 'test' must list vertex ids in 0..11"),
+            ("config", "layers = abc\n", "line 1: layers must be int, got 'abc'"),
+            ("config", "activation = tanh\n",
+             "line 1: activation must be one of ('relu', 'leaky-relu'), got 'tanh'"),
+            ("config", "layers = 0\n", "line 1: layers must be at least 1, got 0"),
+            ("config", "hidden = 0\n", "line 1: hidden must be at least 1, got 0"),
+            ("config", "epochs = -3\n", "line 1: epochs must be at least 1, got -3"),
+        ],
+    )
+    def test_bad_input_is_parse_error(self, capsys, tmp_path, kind, text, message):
+        assert self.run_with(tmp_path, **{kind: text}) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_features_are_parse_error(self, capsys, tmp_path, value):
+        features = "1,0\n" * 11 + f"0,{value}\n"
+        assert self.run_with(tmp_path, features=features) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: feature of vertex 11, column 1 is ")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_epochs_is_usage_error(self, capsys, tmp_path, value):
+        with pytest.raises(SystemExit) as exc:
+            self.run_with(tmp_path, extra=("--epochs", value))
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_invalid_hypergraph_fails_check(self, tmp_path):
         hg = tmp_path / "bad.hg"
         hg.write_text("2 1\n\n")  # blank line is skipped -> short edge count
@@ -232,3 +288,34 @@ class TestReconstruct:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == f"parse error: {message}\n"
+
+    def test_dump_edges_index_node_lines_as_listed(self, tmp_path):
+        dump = tmp_path / "le.txt"
+        dump.write_text("3 2\n0 1\n0 0\n1 0\n0 1\n1 2\n")
+        out = tmp_path / "back.hg"
+        assert main(["reconstruct", "--input", str(dump), "--out", str(out)]) == 0
+        assert lx.parse_hypergraph(out.read_text()) == lx.Hypergraph(2, ((0, 1), (0,)))
+
+    def test_edge_joining_unrelated_labels_is_parse_error(self, capsys, tmp_path):
+        dump = tmp_path / "le.txt"
+        dump.write_text("3 2\n0 1\n0 0\n1 0\n0 1\n0 2\n")
+        assert main(["reconstruct", "--input", str(dump),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: edge (0, 2) joins labels (0, 1) and (1, 0), "
+            "which share neither vertex nor hyperedge\n"
+        )
+
+
+def test_networkx_is_not_a_runtime_dependency():
+    """networkx serves the tests as an oracle only; the library and the CLI
+    must import without it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import linexp, linexp.cli, sys; assert 'networkx' not in sys.modules"],
+        env=env, check=True,
+    )

@@ -251,6 +251,38 @@ class TestClosedFormOracle:
             assert np.abs(op.matrix.toarray() - expected).max() <= 1e-12
 
 
+class TestPairGroups:
+    def test_worked_example(self, worked):
+        by_vertex, by_edge = lx.pair_groups(lx.line_expand(worked).nodes)
+        assert by_vertex == [[0, 1], [2, 3], [4, 5], [6], [7]]
+        assert by_edge == [[0, 2], [1, 3, 4], [5, 6, 7]]
+
+    def test_empty(self):
+        assert lx.pair_groups(()) == ([], [])
+
+    def test_edges_built_on_demand_and_kept(self, worked):
+        le = lx.line_expand(worked)
+        assert "edges" not in vars(le)
+        assert le.edges is le.edges
+        assert "edges" in vars(le)
+        assert le == lx.line_expand(worked)
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_edges_in_incidence_order(self, h):
+        """Vertex-similar pairs per vertex, then hyperedge-similar pairs per
+        hyperedge, both in (v, e) node order."""
+        index = {pair: i for i, pair in enumerate(h.pairs())}
+        expected = []
+        for v in range(h.num_vertices):
+            ids = [index[v, e] for e in h.vertex_edges(v)]
+            expected += [(a, b, lx.VERTEX_SIMILAR) for k, a in enumerate(ids) for b in ids[k + 1:]]
+        for e, verts in enumerate(h.edges):
+            ids = [index[v, e] for v in verts]
+            expected += [(a, b, lx.HYPEREDGE_SIMILAR) for k, a in enumerate(ids) for b in ids[k + 1:]]
+        assert lx.line_expand(h).edges == tuple(expected)
+
+
 class TestCliqueAdjacency:
     def test_worked_example_pair(self, worked):
         a = lx.clique_adjacency(worked).toarray()

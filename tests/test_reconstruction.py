@@ -31,6 +31,12 @@ class TestBackProjectLabeled:
         assert lx.back_project_labeled(le, 3, 1) == h
         assert lx.back_project_labeled(le).num_vertices == 2
 
+    def test_explicit_counts_keep_empty_hyperedges(self):
+        h = lx.Hypergraph(3, ((), (0, 1), (), ()))
+        le = lx.line_expand(h)
+        assert lx.back_project_labeled(le, 3, 4) == h
+        assert lx.back_project_labeled(le) == lx.Hypergraph(2, ((), (0, 1)))
+
 
 class TestKrauszReconstruct:
     def test_worked_example_unlabeled(self, worked):
