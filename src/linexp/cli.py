@@ -21,7 +21,7 @@ from .hypergraph import (
     render_hypergraph,
     validate,
 )
-from .learn import TrainConfig, train
+from .learn import TrainConfig, TrainingError, train
 from .reconstruction import (
     NotALineExpansionError,
     krausz_reconstruct,
@@ -156,7 +156,10 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     dataset = formats.make_dataset(features, labels, tr, va, te)
-    model, rep = train(h, dataset, cfg)
+    # training raises TrainingError on non-finite values; numpy's warnings
+    # on the way there would only repeat it
+    with np.errstate(all="ignore"):
+        model, rep = train(h, dataset, cfg)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(rep.to_dict(), f, indent=2)
         f.write("\n")
@@ -169,7 +172,7 @@ def cmd_reconstruct(args) -> int:
         text = f.read()
     graph, labels = formats.parse_line_expansion_dump(text)
     if labels is not None:
-        h = formats.hypergraph_from_labeled_dump(text)
+        h = formats.hypergraph_from_labels(graph, labels)
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(render_hypergraph(h))
         return EXIT_OK
@@ -243,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except HypergraphError as exc:
+    except (HypergraphError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

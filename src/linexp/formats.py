@@ -3,6 +3,7 @@ key = value config files."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -77,15 +78,21 @@ def parse_line_expansion_dump(
 
 
 def hypergraph_from_labeled_dump(text: str) -> Hypergraph:
-    """The hypergraph whose incidence pairs are the dump's node labels.
+    """The hypergraph whose incidence pairs are the dump's node labels."""
+    graph, labels = parse_line_expansion_dump(text)
+    if labels is None:
+        raise ParseError("dump is unlabeled", 1)
+    return hypergraph_from_labels(graph, labels)
+
+
+def hypergraph_from_labels(graph: UnlabeledGraph, labels: list[tuple[int, int]]) -> Hypergraph:
+    """The hypergraph whose incidence pairs are ``labels``, the node labels
+    of a parsed dump whose topology is ``graph``.
 
     Each edge must join two labels that share a vertex or a hyperedge, and
     the distinct edges must number ``size_formulas``: then they are exactly
     the line edges of the labels.
     """
-    graph, labels = parse_line_expansion_dump(text)
-    if labels is None:
-        raise ParseError("dump is unlabeled", 1)
     h = back_project_labeled(LineExpansion(tuple(labels), 1.0, 1.0))
     for i, j in graph.edges:
         (v, e), (u, f) = labels[i], labels[j]
@@ -169,8 +176,9 @@ _CONFIG_AT_LEAST_ONE = ("layers", "hidden", "epochs", "delta_v", "delta_e")
 
 
 def load_train_config(path: str) -> TrainConfig:
-    """"key = value" lines; unknown keys, values of the wrong type, an
-    unknown activation and sizes or counts below 1 are rejected."""
+    """"key = value" lines; unknown keys, values of the wrong type, NaN or
+    infinite floats, an unknown activation and sizes or counts below 1 are
+    rejected."""
     cfg = TrainConfig()
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
@@ -193,6 +201,8 @@ def load_train_config(path: str) -> TrainConfig:
                     parsed = kind(value)
                 except ValueError:
                     raise ParseError(f"{key} must be {kind.__name__}, got {value!r}", i) from None
+                if kind is float and not math.isfinite(parsed):
+                    raise ParseError(f"{key} must be finite, got {value!r}", i)
                 if key in _CONFIG_AT_LEAST_ONE and parsed < 1:
                     raise ParseError(f"{key} must be at least 1, got {parsed}", i)
                 if key == "activation" and parsed not in ACTIVATIONS:
@@ -208,5 +218,10 @@ def make_dataset(
     val_mask: np.ndarray,
     test_mask: np.ndarray,
 ) -> Dataset:
+    """The training set; overlapping splits, an empty train split and an
+    unlabeled train vertex are parse errors."""
     num_classes = int(labels.max()) + 1
-    return Dataset(features, labels, train_mask, val_mask, test_mask, num_classes)
+    try:
+        return Dataset(features, labels, train_mask, val_mask, test_mask, num_classes)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None

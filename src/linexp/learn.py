@@ -61,7 +61,9 @@ class Dataset:
             or (self.train_mask & self.test_mask).any()
             or (self.val_mask & self.test_mask).any()
         ):
-            raise ValueError("masks must be disjoint")
+            raise ValueError("the train, val and test splits must be disjoint")
+        if not self.train_mask.any():
+            raise ValueError("the train split is empty")
         if (self.labels[self.train_mask] < 0).any():
             raise ValueError("every train vertex needs a label")
         if self.features.ndim != 2 or self.features.shape[1] < 1:

@@ -1,11 +1,13 @@
 """Inverting a line expansion back to a hypergraph.
 
 Labeled inversion just reads the (vertex, hyperedge) pairs off the line
-nodes. Structure-only inversion searches for a Krausz partition of the
-graph's edges into cliques (every node in exactly two cliques, padding with
-size-1 cliques), 2-colors the clique-intersection structure into a vertex
-side and a hyperedge side, and emits both dual candidates. Exact-search
-scale only.
+nodes. Structure-only inversion reads the Krausz cover straight off the
+graph: the unlabeled line expansion is the line graph of the bipartite star
+expansion, so each edge lies in exactly one clique (its two ends and their
+common neighbors), one per vertex or hyperedge. One pass over the edges
+builds these cliques; every node then lies in at most two, and size-1
+cliques pad it to exactly two. The cliques are 2-colored into a vertex side
+and a hyperedge side, and both dual candidates are emitted.
 """
 from __future__ import annotations
 
@@ -121,122 +123,6 @@ def back_project_labeled(
     return Hypergraph(nv, members + ((),) * (ne - len(members)))
 
 
-def _krausz_partitions(g: UnlabeledGraph):
-    """Yield edge partitions into cliques with every node in <= 2 cliques.
-
-    Backtracking with constraint propagation: a node already in one clique
-    must have all its remaining uncovered edges inside a single future
-    clique, which pins that clique down completely.
-    """
-    n = g.num_nodes
-    adj = g.adjacency_sets()
-    edge_id = {e: k for k, e in enumerate(g.edges)}
-    m = len(g.edges)
-    covered = [False] * m
-    count = [0] * n
-    # uncovered neighbors per node, kept in sync with `covered`
-    uncov: list[set[int]] = [set(s) for s in adj]
-    chosen: list[frozenset[int]] = []
-
-    def eid(a: int, b: int) -> int:
-        return edge_id[(a, b) if a < b else (b, a)]
-
-    def place(clique: frozenset[int]) -> list[tuple[int, int]] | None:
-        """Commit a clique; returns the covered edge list for undo, or None
-        if it violates the two-clique budget downstream."""
-        pairs = [
-            (a, b) for a, b in itertools.combinations(sorted(clique), 2)
-        ]
-        for a, b in pairs:
-            covered[eid(a, b)] = True
-            uncov[a].discard(b)
-            uncov[b].discard(a)
-        for x in clique:
-            count[x] += 1
-        ok = all(not uncov[x] for x in clique if count[x] >= 2)
-        if ok:
-            chosen.append(clique)
-            return pairs
-        undo(clique, pairs, appended=False)
-        return None
-
-    def undo(clique: frozenset[int], pairs, appended=True) -> None:
-        if appended:
-            chosen.pop()
-        for x in clique:
-            count[x] -= 1
-        for a, b in pairs:
-            covered[eid(a, b)] = False
-            uncov[a].add(b)
-            uncov[b].add(a)
-
-    def clique_ok(nodes: frozenset[int]) -> bool:
-        for a, b in itertools.combinations(nodes, 2):
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_id or covered[edge_id[key]]:
-                return False
-        return all(count[x] <= 1 for x in nodes)
-
-    def candidate_cliques(u: int, v: int):
-        """All cliques containing the uncovered edge (u, v), built from the
-        common uncovered neighborhood; members at budget must be closed."""
-        common = sorted(
-            x for x in uncov[u] & uncov[v] if x not in (u, v) and count[x] <= 1
-        )
-        base = [u, v]
-
-        def grow(idx: int, cur: list[int]):
-            yield frozenset(cur)
-            for k in range(idx, len(common)):
-                x = common[k]
-                if all(
-                    (min(x, y), max(x, y)) in edge_id and not covered[eid(x, y)]
-                    for y in cur
-                ):
-                    cur.append(x)
-                    yield from grow(k + 1, cur)
-                    cur.pop()
-
-        for cand in grow(0, base):
-            # nodes hitting their second clique must have nothing left over
-            if all(uncov[x] <= cand for x in cand if count[x] == 1):
-                yield cand
-
-    def forced_node() -> int | None:
-        for x in range(n):
-            if count[x] == 1 and uncov[x]:
-                return x
-        return None
-
-    def search():
-        if all(covered):
-            yield list(chosen)
-            return
-        x = forced_node()
-        if x is not None:
-            clique = frozenset(uncov[x] | {x})
-            if not clique_ok(clique):
-                return
-            if not all(uncov[y] <= clique for y in clique if count[y] == 1):
-                return
-            pairs = place(clique)
-            if pairs is None:
-                return
-            yield from search()
-            undo(clique, pairs)
-            return
-        k = next(i for i in range(m) if not covered[i])
-        u, v = g.edges[k]
-        for cand in list(candidate_cliques(u, v)):
-            pairs = place(cand)
-            if pairs is None:
-                continue
-            yield from search()
-            undo(cand, pairs)
-
-    yield from search()
-
-
 def _two_color(cliques: list[frozenset[int]], node_cliques: list[list[int]]):
     """2-color cliques so the two cliques at every node differ; None if
     impossible. Color 0 is assigned to the lowest-indexed clique of each
@@ -265,35 +151,55 @@ def _two_color(cliques: list[frozenset[int]], node_cliques: list[list[int]]):
 
 def krausz_reconstruct(g: UnlabeledGraph) -> ReconstructionResult:
     """Reconstruct the two dual hypergraph candidates from an unlabeled line
-    expansion. Disconnected inputs are handled per component and unioned."""
+    expansion.
+
+    The edge (i, j) lies in exactly one clique of the cover, i, j and their
+    common neighbors, because the star expansion has no triangles. The
+    cliques are taken in the order of the sorted edges, and nodes in fewer
+    than two are padded with size-1 cliques in node order. The graph is
+    rejected with ``NotALineExpansionError`` when such a set is not a clique
+    or repeats a covered edge, a node lies in more than two cliques, or the
+    cliques cannot be 2-colored.
+
+    The candidates are guaranteed for connected inputs only. Every component
+    gives color 0 to the clique of its smallest edge, so on a disconnected
+    input whose components need different orientations neither candidate
+    is isomorphic to the hypergraph the graph came from.
+    """
     if g.num_nodes > MAX_KRAUSZ_NODES:
         raise HypergraphError(
             f"structure-only reconstruction limited to {MAX_KRAUSZ_NODES} nodes"
         )
-    for partition in _krausz_partitions(g):
-        cliques = list(partition)
-        # pad to exactly two cliques per node
-        node_cliques: list[list[int]] = [[] for _ in range(g.num_nodes)]
-        for k, cl in enumerate(cliques):
-            for x in cl:
-                node_cliques[x].append(k)
-        for x in range(g.num_nodes):
-            while len(node_cliques[x]) < 2:
-                cliques.append(frozenset([x]))
-                node_cliques[x].append(len(cliques) - 1)
-            if len(node_cliques[x]) != 2:
-                break
-        else:
-            color = _two_color(cliques, node_cliques)
-            if color is None:
-                continue
-            cover = CliqueCover(
-                tuple(cliques), tuple((a, b) for a, b in node_cliques)
-            )
-            h_a = _hypergraph_from_cover(cliques, node_cliques, color, side=0)
-            h_b = _hypergraph_from_cover(cliques, node_cliques, color, side=1)
-            return ReconstructionResult((h_a, h_b), cover)
-    raise NotALineExpansionError("no bipartite Krausz partition exists")
+    adj = g.adjacency_sets()
+    covered: set[tuple[int, int]] = set()
+    cliques: list[frozenset[int]] = []
+    node_cliques: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for i, j in g.edges:
+        if (i, j) in covered:
+            continue
+        clique = sorted({i, j} | (adj[i] & adj[j]))
+        for a, b in itertools.combinations(clique, 2):
+            if b not in adj[a] or (a, b) in covered:
+                raise NotALineExpansionError(
+                    f"the common neighbors of edge ({i}, {j}) are not a new clique"
+                )
+            covered.add((a, b))
+        for x in clique:
+            node_cliques[x].append(len(cliques))
+        cliques.append(frozenset(clique))
+    for x in range(g.num_nodes):
+        if len(node_cliques[x]) > 2:
+            raise NotALineExpansionError(f"node {x} lies in more than two cliques")
+        while len(node_cliques[x]) < 2:
+            cliques.append(frozenset([x]))
+            node_cliques[x].append(len(cliques) - 1)
+    color = _two_color(cliques, node_cliques)
+    if color is None:
+        raise NotALineExpansionError("the cliques cannot be split into vertices and hyperedges")
+    cover = CliqueCover(tuple(cliques), tuple((a, b) for a, b in node_cliques))
+    h_a = _hypergraph_from_cover(cliques, node_cliques, color, side=0)
+    h_b = _hypergraph_from_cover(cliques, node_cliques, color, side=1)
+    return ReconstructionResult((h_a, h_b), cover)
 
 
 def _hypergraph_from_cover(cliques, node_cliques, color, side: int) -> Hypergraph:

@@ -25,6 +25,7 @@ from .hypergraph import (
     vertex_degrees,
 )
 from .reconstruction import (
+    MAX_KRAUSZ_NODES,
     NotALineExpansionError,
     back_project_labeled,
     hypergraph_isomorphic,
@@ -242,7 +243,7 @@ def run_verification(
             if h.num_vertices <= 8 and h.num_hyperedges <= 6 and is_connected(h)
         ]
         if hypergraph is not None and not small:
-            small = [(h, s) for h, s in corpus if line_expand(h).num_nodes <= 64]
+            small = [(h, s) for h, s in corpus if line_expand(h).num_nodes <= MAX_KRAUSZ_NODES]
         fail = None
         for h, inst_seed in small:
             res = check_unlabeled_round_trip(h)

@@ -209,6 +209,46 @@ class TestTrain:
         assert self.run_with(tmp_path, **{kind: text}) == 2
         assert capsys.readouterr().err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "labels, splits, message",
+        [
+            (None, '{"train": [0, 1], "test": [1, 2]}',
+             "the train, val and test splits must be disjoint"),
+            ("1 0\n2 1\n", '{"train": [0, 1], "test": [2]}',
+             "every train vertex needs a label"),
+            (None, '{"train": [], "test": [2]}', "the train split is empty"),
+        ],
+        ids=["overlapping-splits", "unlabeled-train-vertex", "empty-train-split"],
+    )
+    def test_bad_split_or_label_is_parse_error(self, capsys, tmp_path, labels,
+                                               splits, message):
+        assert self.run_with(tmp_path, labels=labels, splits=splits) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "config", ["w_v = nan", "w_e = -inf", "lr = nan", "lr = inf",
+                   "weight_decay = nan", "leaky_slope = nan"],
+    )
+    def test_non_finite_config_is_parse_error(self, capsys, tmp_path, config):
+        key, value = (s.strip() for s in config.split("="))
+        assert self.run_with(tmp_path, config=f"seed = 1\n{config}\n") == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line 2: {key} must be finite, got {value!r}\n"
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "config, message",
+        [("lr = 1e300\n", "error: non-finite values in layer "),
+         ("lr = -1\n", "error: training diverged at epoch ")],
+        ids=["overflow", "negative-lr"],
+    )
+    def test_divergence_is_one_line_error(self, capsys, tmp_path, config, message):
+        assert self.run_with(tmp_path, config=config, extra=("--epochs", "50")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_features_are_parse_error(self, capsys, tmp_path, value):
         features = "1,0\n" * 11 + f"0,{value}\n"
@@ -288,6 +328,21 @@ class TestReconstruct:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err == f"parse error: {message}\n"
+
+    def test_labeled_dump_is_parsed_once(self, monkeypatch, tmp_path, worked_file):
+        le_dump = tmp_path / "le.txt"
+        main(["expand", "--mode", "line", "--input", str(worked_file),
+              "--out", str(le_dump)])
+        parse, calls = formats.parse_line_expansion_dump, []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(formats, "parse_line_expansion_dump", counting_parse)
+        assert main(["reconstruct", "--input", str(le_dump),
+                     "--out", str(tmp_path / "back.hg")]) == 0
+        assert len(calls) == 1
 
     def test_dump_edges_index_node_lines_as_listed(self, tmp_path):
         dump = tmp_path / "le.txt"

@@ -118,6 +118,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             lx.Dataset(np.ones((n, 1)), labels, train, zeros, zeros, 2)
 
+    def test_empty_train_split_rejected(self):
+        n = 3
+        zeros = np.zeros(n, dtype=bool)
+        with pytest.raises(ValueError, match="train split is empty"):
+            lx.Dataset(np.ones((n, 1)), np.zeros(n, dtype=int), zeros, zeros,
+                       np.ones(n, dtype=bool), 2)
+
 
 class TestForwardBackward:
     def test_softmax_rows_sum_to_one_and_shift_safe(self):

@@ -1,8 +1,10 @@
 import itertools
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linexp as lx
 from linexp.reconstruction import dual_hypergraph, strip_labels
@@ -120,6 +122,102 @@ class TestKrauszReconstruct:
         g = lx.UnlabeledGraph(65, ())
         with pytest.raises(lx.HypergraphError):
             lx.krausz_reconstruct(g)
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),  # diamond K4 - e
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),  # C5
+        ],
+        ids=["diamond", "C5"],
+    )
+    def test_non_bipartite_roots_rejected(self, n, edges):
+        # the diamond's only root is the paw, C5's is C5: neither is bipartite
+        with pytest.raises(lx.NotALineExpansionError):
+            lx.krausz_reconstruct(lx.UnlabeledGraph.from_edges(n, edges))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # C4
+            (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),  # C6
+            (3, []),  # isolated nodes
+            (5, [(0, 1), (2, 3), (3, 4), (2, 4)]),  # K2 + K3
+        ],
+        ids=["C4", "C6", "isolated", "K2+K3"],
+    )
+    def test_bipartite_roots_accepted(self, n, edges):
+        g = lx.UnlabeledGraph.from_edges(n, edges)
+        result = lx.krausz_reconstruct(g)
+        for cand in result.candidates:
+            assert nx.is_isomorphic(nx.line_graph(star_graph(cand)), as_networkx(g))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_accepts_exactly_the_line_graphs_of_bipartite_graphs(self, data):
+        g = data.draw(graphs_near_line_expansions())
+        try:
+            result = lx.krausz_reconstruct(g)
+        except lx.NotALineExpansionError:
+            result = None
+        assert (result is not None) == networkx_accepts(g)
+        if result is not None:
+            line = nx.line_graph(star_graph(result.candidates[0]))
+            assert nx.is_isomorphic(line, as_networkx(g))
+
+
+def as_networkx(g: lx.UnlabeledGraph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.num_nodes))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def star_graph(h: lx.Hypergraph) -> nx.Graph:
+    """Bipartite vertex/hyperedge graph, one edge per incidence pair."""
+    return nx.Graph((("v", v), ("e", e)) for v, e in h.pairs())
+
+
+def networkx_accepts(g: lx.UnlabeledGraph) -> bool:
+    """Oracle: every component is an isolated node, or K3 (the line graph
+    of the star K_{1,3} as well as of K3), or has a bipartite root under
+    networkx's inverse line graph."""
+    full = as_networkx(g)
+    for nodes in nx.connected_components(full):
+        comp = full.subgraph(nodes)
+        if len(comp) == 1 or nx.is_isomorphic(comp, nx.complete_graph(3)):
+            continue
+        try:
+            root = nx.inverse_line_graph(comp)
+        except nx.NetworkXError:
+            return False
+        if not nx.is_bipartite(root):
+            return False
+    return True
+
+
+@st.composite
+def graphs_near_line_expansions(draw) -> lx.UnlabeledGraph:
+    """Graphs on at most 10 nodes: arbitrary ones, and unlabeled line
+    expansions of small hypergraphs with up to two node pairs toggled."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 10))
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return lx.UnlabeledGraph(n, tuple(p for p, k in zip(pairs, keep) if k))
+    incidences = draw(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                              min_size=1, max_size=10))
+    nv = max(v for v, _ in incidences) + 1
+    ne = max(e for _, e in incidences) + 1
+    h = lx.Hypergraph(nv, tuple(
+        tuple(sorted(v for v, f in incidences if f == e)) for e in range(ne)
+    ))
+    g = strip_labels(lx.line_expand(h))
+    edges = set(g.edges)
+    pairs = list(itertools.combinations(range(g.num_nodes), 2))
+    if pairs:
+        edges ^= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    return lx.UnlabeledGraph.from_edges(g.num_nodes, edges)
 
 
 def brute_force_isomorphic(a: lx.Hypergraph, b: lx.Hypergraph) -> bool:
