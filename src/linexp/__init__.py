@@ -18,6 +18,7 @@ from .hypergraph import (
 from .expansions import (
     HYPEREDGE_SIMILAR,
     VERTEX_SIMILAR,
+    FactoredOperator,
     LineExpansion,
     NormalizedOperator,
     ProjectionSet,

@@ -17,9 +17,12 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     ParseError,
+    hyperedge_degrees,
+    incidence_matrix,
     parse_hypergraph,
     render_hypergraph,
     validate,
+    vertex_degrees,
 )
 from .learn import TrainConfig, TrainingError, train
 from .reconstruction import (
@@ -81,33 +84,32 @@ def cmd_expand(args) -> int:
 def cmd_stats(args) -> int:
     h = _read_hypergraph(args.input)
     nv, ne = h.num_vertices, h.num_hyperedges
-    pair_count = h.num_pairs
-    clique_pairs = set()
-    for verts in h.edges:
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                clique_pairs.add((verts[a], verts[b]))
+    d = vertex_degrees(h).as_array()
+    delta = hyperedge_degrees(h).as_array()
+    # H H^T is nonzero off the diagonal exactly on the clique edges, each
+    # twice, and on the diagonal at every vertex of nonzero degree.
+    H = incidence_matrix(h)
+    clique_edges = (sp.csr_array(H @ H.T).nnz - np.count_nonzero(d)) // 2
     n_l, m_l = size_formulas(h)
 
     def density(edges: int, nodes: int) -> float:
         return 2.0 * edges / (nodes * (nodes - 1)) if nodes > 1 else 0.0
 
     # per-node kept-neighbor cap under sampling
-    sample_bound = 0
-    for v in range(nv):
-        d = len(h.vertex_edges(v))
-        sample_bound += d * min(d - 1, args.delta_v)
-    for verts in h.edges:
-        sample_bound += len(verts) * min(len(verts) - 1, args.delta_e)
+    sample_bound = int((d * np.minimum(d - 1, args.delta_v)).sum()
+                       + (delta * np.minimum(delta - 1, args.delta_e)).sum())
 
     print(f"vertices            {nv}")
     print(f"hyperedges          {ne}")
-    print(f"incidence pairs     {pair_count}")
-    print(f"clique edges        {len(clique_pairs)}")
-    print(f"clique density      {density(len(clique_pairs), nv):.6g}")
+    print(f"incidence pairs     {h.num_pairs}")
+    print(f"clique edges        {clique_edges}")
+    print(f"clique density      {density(clique_edges, nv):.6g}")
     print(f"line nodes          {n_l}")
     print(f"line edges          {m_l}")
     print(f"line density        {density(m_l, n_l):.6g}")
+    # the explicit renormalized operator at w_v, w_e > 0: the diagonal and
+    # both directions of every line edge
+    print(f"operator nnz        {n_l + 2 * m_l}")
     print(
         f"sampled edge bound  {sample_bound} "
         f"(arcs kept at delta_v={args.delta_v}, delta_e={args.delta_e})"

@@ -21,6 +21,10 @@ arrays v_of, e_of (the vertex and hyperedge of each line node):
   s = w_v + w_e, sI + A_l = w_e P_v P_v^T + w_v P_e P_e^T, whose row sums
   are D(v, e) = w_e d(v) + w_v delta(e), and the renormalized operator is
   D^{-1/2} (w_e P_v P_v^T + w_v P_e P_e^T) D^{-1/2}.
+* Training applies the operator in that factored form: one pass through
+  P_v^T and P_e^T and back costs O(|V_l|) per column, where the explicit
+  |V_l| x |V_l| matrix has |V_l| + 2|E_l| entries. The matrix is built on
+  first use only, as the reference for tests and checks.
 """
 from __future__ import annotations
 
@@ -131,12 +135,55 @@ class ProjectionSet:
 
 @dataclass(frozen=True)
 class NormalizedOperator:
-    """Symmetric renormalized convolution operator on line nodes."""
+    """Renormalized convolution operator on line nodes, as an explicit
+    matrix (the sampled operator, which need not be symmetric)."""
 
     matrix: sp.csr_array
     w_v: float
     w_e: float
     self_loop_weight: float
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredOperator:
+    """The renormalized operator D^{-1/2} (w_e P_v P_v^T + w_v P_e P_e^T)
+    D^{-1/2}, kept as its factors.
+
+    ``op @ h`` applies it to a |V_l| x k array ``h`` without forming the
+    |V_l| x |V_l| matrix; ``op.T`` is ``op``, as the operator is symmetric.
+    ``matrix`` is the explicit CSR, built on first use and kept.
+    """
+
+    p_v: sp.csr_array        # |V_l| x |V| binary
+    p_e: sp.csr_array        # |V_l| x |E| binary
+    d_inv_sqrt: np.ndarray   # D^{-1/2} per line node
+    w_v: float
+    w_e: float
+    self_loop_weight: float
+
+    @property
+    def T(self) -> "FactoredOperator":
+        return self
+
+    def __matmul__(self, h: np.ndarray) -> np.ndarray:
+        scale = self.d_inv_sqrt[:, None]
+        z = scale * h
+        # .T of a CSR array is its CSC view: P^T z sums each group's rows.
+        out = self.w_e * (self.p_v @ (self.p_v.T @ z))
+        out += self.w_v * (self.p_e @ (self.p_e.T @ z))
+        out *= scale
+        return out
+
+    @cached_property
+    def matrix(self) -> sp.csr_array:
+        # Adding the two drops the explicit zeros of a zero weight. Sorted
+        # columns keep the row-sum order of matrix @ h fixed.
+        a_tilde = self.w_e * (self.p_v @ self.p_v.T) + self.w_v * (self.p_e @ self.p_e.T)
+        a_tilde.sort_indices()
+        d = self.d_inv_sqrt
+        entry_rows = np.repeat(np.arange(len(d)), np.diff(a_tilde.indptr))
+        a_tilde.data = d[entry_rows] * a_tilde.data * d[a_tilde.indices]
+        return a_tilde
 
 
 def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpansion:
@@ -216,30 +263,29 @@ def adjacency_from_projections(p: ProjectionSet) -> sp.csr_array:
     return out
 
 
-def renormalized_operator(le: LineExpansion) -> NormalizedOperator:
+def renormalized_operator(le: LineExpansion) -> FactoredOperator:
     """D^{-1/2} (sI + A_l) D^{-1/2} with self-loop weight s = w_v + w_e.
 
     Using s = w_v + w_e (rather than literal 2) keeps the operator invariant
     under joint scaling of (w_v, w_e); it equals 2 at w_v = w_e = 1. Built
     from the line nodes alone as w_e P_v P_v^T + w_v P_e P_e^T with degree
-    D(v, e) = w_e d(v) + w_v delta(e) (see the module docstring).
+    D(v, e) = w_e d(v) + w_v delta(e) (see the module docstring), and
+    returned in that factored form: training applies it without the
+    explicit matrix, which ``.matrix`` builds on first use.
     """
     if le.num_nodes == 0:
         raise HypergraphError("line expansion is empty")
-    n = le.num_nodes
     v_of, e_of = np.asarray(le.nodes, dtype=np.int64).T
-    p_v = _indicator(v_of, v_of.max() + 1)
-    p_e = _indicator(e_of, e_of.max() + 1)
-    # Adding the two drops the explicit zeros of a zero weight. Sorted
-    # columns keep the row-sum order of op @ h fixed.
-    a_tilde = le.w_e * (p_v @ p_v.T) + le.w_v * (p_e @ p_e.T)
-    a_tilde.sort_indices()
     d = np.bincount(v_of)[v_of]
     delta = np.bincount(e_of)[e_of]
-    d_inv_sqrt = 1.0 / np.sqrt(le.w_e * d + le.w_v * delta)
-    entry_rows = np.repeat(np.arange(n), np.diff(a_tilde.indptr))
-    a_tilde.data = d_inv_sqrt[entry_rows] * a_tilde.data * d_inv_sqrt[a_tilde.indices]
-    return NormalizedOperator(a_tilde, le.w_v, le.w_e, le.w_v + le.w_e)
+    return FactoredOperator(
+        _indicator(v_of, v_of.max() + 1),
+        _indicator(e_of, e_of.max() + 1),
+        1.0 / np.sqrt(le.w_e * d + le.w_v * delta),
+        le.w_v,
+        le.w_e,
+        le.w_v + le.w_e,
+    )
 
 
 def clique_adjacency(h: Hypergraph) -> sp.csr_array:

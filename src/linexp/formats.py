@@ -2,14 +2,14 @@
 key = value config files."""
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 
 import numpy as np
 
 from .expansions import LineExpansion, size_formulas
 from .hypergraph import Hypergraph, ParseError
-from .learn import ACTIVATIONS, Dataset, TrainConfig
+from .learn import Dataset, TrainConfig
 from .reconstruction import UnlabeledGraph, back_project_labeled
 
 
@@ -172,13 +172,11 @@ _CONFIG_TYPES = {
     "leaky_slope": float,
     "sampling": None,  # on/off
 }
-_CONFIG_AT_LEAST_ONE = ("layers", "hidden", "epochs", "delta_v", "delta_e")
 
 
 def load_train_config(path: str) -> TrainConfig:
-    """"key = value" lines; unknown keys, values of the wrong type, NaN or
-    infinite floats, an unknown activation and sizes or counts below 1 are
-    rejected."""
+    """"key = value" lines; unknown keys, values of the wrong type and values
+    that TrainConfig rejects are parse errors at the line that sets them."""
     cfg = TrainConfig()
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
@@ -194,20 +192,17 @@ def load_train_config(path: str) -> TrainConfig:
             if key == "sampling":
                 if value not in ("on", "off"):
                     raise ParseError("sampling must be on or off", i)
-                cfg.sampling = value == "on"
+                parsed = value == "on"
             else:
                 kind = _CONFIG_TYPES[key]
                 try:
                     parsed = kind(value)
                 except ValueError:
                     raise ParseError(f"{key} must be {kind.__name__}, got {value!r}", i) from None
-                if kind is float and not math.isfinite(parsed):
-                    raise ParseError(f"{key} must be finite, got {value!r}", i)
-                if key in _CONFIG_AT_LEAST_ONE and parsed < 1:
-                    raise ParseError(f"{key} must be at least 1, got {parsed}", i)
-                if key == "activation" and parsed not in ACTIVATIONS:
-                    raise ParseError(f"activation must be one of {ACTIVATIONS}, got {value!r}", i)
-                setattr(cfg, key, parsed)
+            try:
+                cfg = dataclasses.replace(cfg, **{key: parsed})
+            except ValueError as exc:
+                raise ParseError(str(exc), i) from None
     return cfg
 
 

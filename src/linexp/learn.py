@@ -4,9 +4,16 @@ Pipeline: scatter vertex features to line nodes with P_v, run K convolution
 layers with the renormalized operator, fuse back to vertices with P_v', and
 train against masked cross-entropy with full-batch gradient descent. All
 gradients are exact reverse-mode; arithmetic is float64 throughout.
+
+The full operator is applied in its factored form (see
+:class:`FactoredOperator`), the sampled one as a CSR matrix; layers only use
+``op @ h`` and ``op.T @ g``. Each layer propagates at min(d_in, d_out)
+columns: a layer that narrows (d_out < d_in) multiplies by theta before the
+operator, as in Kipf & Welling's GCN, the others after it.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -14,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expansions import (
+    FactoredOperator,
     LineExpansion,
     NormalizedOperator,
     ProjectionSet,
@@ -26,6 +34,10 @@ from .hypergraph import Hypergraph, HypergraphError, validate
 
 
 ACTIVATIONS = ("relu", "leaky-relu")
+# TrainConfig fields that must be at least 1, and those that must be finite
+# and nonnegative.
+_AT_LEAST_ONE = ("layers", "hidden", "epochs", "delta_v", "delta_e")
+_NONNEGATIVE = ("w_v", "w_e", "lr", "weight_decay", "leaky_slope")
 
 
 class TrainingError(RuntimeError):
@@ -113,6 +125,24 @@ class TrainConfig:
     early_stopping: bool = False
     patience: int = 20
 
+    def __post_init__(self):
+        for key in _AT_LEAST_ONE:
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+        for key in _NONNEGATIVE:
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got '{value}'")
+            if value < 0:
+                raise ValueError(f"{key} must not be negative, got {value!r}")
+        if self.w_v == 0 and self.w_e == 0:
+            raise ValueError("w_v and w_e must not both be zero")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(
+                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
+            )
+
 
 @dataclass
 class Model:
@@ -187,8 +217,13 @@ def representation_project(p: ProjectionSet, h: np.ndarray) -> np.ndarray:
     return p.p_v_back @ h
 
 
+def _theta_first(theta: np.ndarray) -> bool:
+    """Whether the layer narrows, and so propagates after applying theta."""
+    return theta.shape[1] < theta.shape[0]
+
+
 def conv_forward(
-    op: sp.csr_array,
+    op: sp.csr_array | FactoredOperator,
     theta: np.ndarray,
     h: np.ndarray,
     activation: str,
@@ -196,9 +231,15 @@ def conv_forward(
     apply_activation: bool,
     layer_index: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One convolution layer. Returns (output, aggregated, preactivation)."""
-    m = op @ h
-    s = m @ theta
+    """One convolution layer, s = op @ h @ theta. Returns (output, cached,
+    preactivation), where cached is h if the layer narrows (it computes
+    op @ (h @ theta)) and op @ h otherwise (it computes (op @ h) @ theta)."""
+    if _theta_first(theta):
+        m = h
+        s = op @ (h @ theta)
+    else:
+        m = op @ h
+        s = m @ theta
     out = _activate(s, activation, leaky_slope) if apply_activation else s
     if not np.isfinite(out).all():
         raise NumericError(layer_index)
@@ -206,9 +247,10 @@ def conv_forward(
 
 
 def forward(
-    model: Model, op: sp.csr_array, p: ProjectionSet, x: np.ndarray
+    model: Model, op: sp.csr_array | FactoredOperator, p: ProjectionSet, x: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Full pipeline; caches (aggregated, preactivation) per layer."""
+    """Full pipeline; caches conv_forward's (cached, preactivation) per
+    layer."""
     h = feature_project(p, x)
     caches = []
     last = len(model.thetas) - 1
@@ -238,7 +280,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> f
 
 def backward(
     model: Model,
-    op: sp.csr_array,
+    op: sp.csr_array | FactoredOperator,
     p: ProjectionSet,
     logits: np.ndarray,
     caches: list[tuple[np.ndarray, np.ndarray]],
@@ -258,12 +300,20 @@ def backward(
     last = len(model.thetas) - 1
     for k in range(last, -1, -1):
         m, s = caches[k]
+        theta = model.thetas[k]
         ds = dh if k == last else dh * _activate_grad(
             s, model.activation, model.leaky_slope
         )
-        grads[k] = m.T @ ds + weight_decay * model.thetas[k]
-        if k > 0:
-            dh = op.T @ (ds @ model.thetas[k].T)
+        if _theta_first(theta):
+            # s = op @ (h @ theta): one op.T at d_out serves both gradients.
+            g = op.T @ ds
+            grads[k] = m.T @ g + weight_decay * theta
+            if k > 0:
+                dh = g @ theta.T
+        else:
+            grads[k] = m.T @ ds + weight_decay * theta
+            if k > 0:
+                dh = op.T @ (ds @ theta.T)
     return grads
 
 
@@ -353,7 +403,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     le = line_expand(h, config.w_v, config.w_e)
     p = projections(h)
-    full_op = renormalized_operator(le).matrix
+    full_op = renormalized_operator(le)
     x = np.asarray(dataset.features, dtype=np.float64)
 
     thetas = init_params(

@@ -1,17 +1,22 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linexp as lx
 from linexp import formats
 from linexp.cli import main
 
 from conftest import WORKED_EXAMPLE_TEXT
+from test_expansions import messy_hypergraphs
 
 
 @pytest.fixture
@@ -82,6 +87,29 @@ class TestStats:
         assert "hyperedges          3" in out
         assert "line nodes          8" in out
         assert "line edges          10" in out
+        assert "operator nnz        28" in out
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs(), st.integers(1, 4), st.integers(1, 4))
+    def test_counts_match_loop_definitions(self, h, delta_v, delta_e):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "h.hg"
+            path.write_text(lx.render_hypergraph(h))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["stats", "--input", str(path), "--delta-v", str(delta_v),
+                             "--delta-e", str(delta_e)]) == 0
+        table = {ln[:20].strip(): int(ln[20:].split()[0])
+                 for ln in out.getvalue().splitlines() if "density" not in ln}
+        clique_pairs = {(a, b) for verts in h.edges
+                        for i, a in enumerate(verts) for b in verts[i + 1:]}
+        bound = sum(len(h.vertex_edges(v)) * min(len(h.vertex_edges(v)) - 1, delta_v)
+                    for v in range(h.num_vertices))
+        bound += sum(len(verts) * min(len(verts) - 1, delta_e) for verts in h.edges)
+        assert table["clique edges"] == len(clique_pairs)
+        assert table["sampled edge bound"] == bound
+        op = lx.renormalized_operator(lx.line_expand(h))
+        assert table["operator nnz"] == op.matrix.nnz
 
     @pytest.mark.parametrize("flag", ["--delta-v", "--delta-e"])
     @pytest.mark.parametrize("value", ["0", "-1"])
@@ -203,6 +231,12 @@ class TestTrain:
             ("config", "layers = 0\n", "line 1: layers must be at least 1, got 0"),
             ("config", "hidden = 0\n", "line 1: hidden must be at least 1, got 0"),
             ("config", "epochs = -3\n", "line 1: epochs must be at least 1, got -3"),
+            ("config", "weight_decay = -5\n",
+             "line 1: weight_decay must not be negative, got -5.0"),
+            ("config", "lr = -1\n", "line 1: lr must not be negative, got -1.0"),
+            ("config", "activation = leaky-relu\nleaky_slope = -1\n",
+             "line 2: leaky_slope must not be negative, got -1.0"),
+            ("config", "w_v = 0\nw_e = 0\n", "line 2: w_v and w_e must not both be zero"),
         ],
     )
     def test_bad_input_is_parse_error(self, capsys, tmp_path, kind, text, message):
@@ -240,8 +274,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "config, message",
         [("lr = 1e300\n", "error: non-finite values in layer "),
-         ("lr = -1\n", "error: training diverged at epoch ")],
-        ids=["overflow", "negative-lr"],
+         ("lr = 10\nweight_decay = 1e10\n", "error: training diverged at epoch ")],
+        ids=["overflow", "unstable-weight-decay"],
     )
     def test_divergence_is_one_line_error(self, capsys, tmp_path, config, message):
         assert self.run_with(tmp_path, config=config, extra=("--epochs", "50")) == 1

@@ -250,6 +250,23 @@ class TestClosedFormOracle:
             assert op.self_loop_weight == w_v + w_e
             assert np.abs(op.matrix.toarray() - expected).max() <= 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_factored_apply(self, h):
+        rng = np.random.default_rng(h.num_pairs)
+        for w_v, w_e in ((1.0, 1.0), (0.3, 1.7), (0.0, 1.0), (2.5, 0.0)):
+            le = lx.line_expand(h, w_v, w_e)
+            a_tilde = le.adjacency().toarray() + (w_v + w_e) * np.eye(le.num_nodes)
+            scale = 1 / np.sqrt(a_tilde.sum(axis=1))
+            op = lx.renormalized_operator(le)
+            assert op.T is op
+            for cols in (1, 5):
+                x = rng.normal(size=(le.num_nodes, cols))
+                expected = scale[:, None] * (a_tilde @ (scale[:, None] * x))
+                for got in (op @ x, op.T @ x):
+                    assert np.abs(got - op.matrix @ x).max() <= 1e-12
+                    assert np.abs(got - expected).max() <= 1e-12
+
 
 class TestPairGroups:
     def test_worked_example(self, worked):

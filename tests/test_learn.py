@@ -182,6 +182,43 @@ class TestForwardBackward:
                 worst = max(worst, abs(num - grads[k][ix]) / denom)
         assert worst < 1e-5
 
+    @pytest.mark.parametrize("operator", ["factored", "sampled"])
+    def test_gradient_check_narrowing_and_widening_layers(self, worked, operator):
+        # widths 6 -> 3 -> 5 -> 2: the narrowing layers apply theta before
+        # the operator, the widening one after it. The sampled operator is
+        # asymmetric, so a backward pass that drops op.T fails here.
+        rng = np.random.default_rng(8)
+        p = projections(worked)
+        le = line_expand(worked)
+        if operator == "factored":
+            op = renormalized_operator(le)
+        else:
+            op = sampled_operator(le, lx.SamplingConfig(1, 1), rng).matrix
+            assert abs(op - op.T).max() > 0.1
+        thetas = [rng.uniform(-1, 1, size=shape) for shape in ((6, 3), (3, 5), (5, 2))]
+        model = Model(thetas, 1.0, 1.0, "leaky-relu", 0.1)
+        x = rng.normal(size=(5, 6))
+        labels = np.array([0, 1, 0, 1, 1])
+        mask = np.array([True, True, False, True, True])
+
+        logits, caches = forward(model, op, p, x)
+        grads = backward(model, op, p, logits, caches, labels, mask)
+
+        eps = 1e-6
+        worst = 0.0
+        for k, theta in enumerate(model.thetas):
+            for ix in np.ndindex(theta.shape):
+                orig = theta[ix]
+                theta[ix] = orig + eps
+                lp = cross_entropy(forward(model, op, p, x)[0], labels, mask)
+                theta[ix] = orig - eps
+                lm = cross_entropy(forward(model, op, p, x)[0], labels, mask)
+                theta[ix] = orig
+                num = (lp - lm) / (2 * eps)
+                denom = max(abs(num), abs(grads[k][ix]), 1e-8)
+                worst = max(worst, abs(num - grads[k][ix]) / denom)
+        assert worst < 1e-5
+
     def test_weight_decay_gradient(self, worked):
         p = projections(worked)
         op = renormalized_operator(line_expand(worked)).matrix
@@ -336,6 +373,21 @@ class TestTrain:
         lx.train(h, ds, config)
         assert count[0] == calls
 
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_full_operator_matrix_never_built(self, monkeypatch, sampling):
+        built = []
+
+        def recording_operator(le):
+            built.append(renormalized_operator(le))
+            return built[-1]
+
+        monkeypatch.setattr(lx.learn, "renormalized_operator", recording_operator)
+        h, ds = separable_toy(vertices_per_class=6, seed=3)
+        lx.train(h, ds, lx.TrainConfig(epochs=5, seed=3, sampling=sampling,
+                                       delta_v=2, delta_e=2))
+        assert len(built) == 1
+        assert "matrix" not in vars(built[0])
+
     def test_report_serializable(self):
         h, ds = separable_toy(vertices_per_class=5, seed=6)
         _, report = lx.train(h, ds, lx.TrainConfig(epochs=5, seed=6))
@@ -343,6 +395,34 @@ class TestTrain:
         assert d["seed"] == 6
         assert len(d["losses"]) == 5
         assert d["config"]["epochs"] == 5
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(layers=0), "layers must be at least 1, got 0"),
+            (dict(delta_e=-1), "delta_e must be at least 1, got -1"),
+            (dict(lr=float("nan")), "lr must be finite, got 'nan'"),
+            (dict(w_e=float("inf")), "w_e must be finite, got 'inf'"),
+            (dict(lr=-0.1), "lr must not be negative, got -0.1"),
+            (dict(weight_decay=-5.0), "weight_decay must not be negative, got -5.0"),
+            (dict(leaky_slope=-1.0), "leaky_slope must not be negative, got -1.0"),
+            (dict(w_v=-1.0), "w_v must not be negative, got -1.0"),
+            (dict(w_v=0.0, w_e=0.0), "w_v and w_e must not both be zero"),
+            (dict(activation="tanh"),
+             "activation must be one of ('relu', 'leaky-relu'), got 'tanh'"),
+        ],
+    )
+    def test_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            lx.TrainConfig(**kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kwargs", [dict(w_v=0.0), dict(w_e=0.0),
+                                        dict(lr=0.0, weight_decay=0.0, leaky_slope=0.0)])
+    def test_zero_allowed(self, kwargs):
+        lx.TrainConfig(**kwargs)
 
 
 class TestValueHypergraph:
