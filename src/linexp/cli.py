@@ -53,13 +53,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _graph_dump(num_nodes: int, edges: list[tuple[int, int]]) -> str:
-    out = [f"{num_nodes} {len(edges)}"]
-    out += ["? ?"] * num_nodes
-    out += [f"{i} {j}" for i, j in sorted(edges)]
-    return "\n".join(out) + "\n"
-
-
 def cmd_expand(args) -> int:
     h = _read_hypergraph(args.input)
     if args.mode == "line":
@@ -75,7 +68,7 @@ def cmd_expand(args) -> int:
         edges = sorted(
             {(int(r), int(c)) for r, c in zip(coo.row, coo.col) if r < c}
         )
-        text = _graph_dump(h.num_vertices, edges)
+        text = formats._render_dump(h.num_vertices, edges)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(text)
     return EXIT_OK

@@ -47,17 +47,6 @@ from .hypergraph import (
 VERTEX_SIMILAR = "vertex-similar"
 HYPEREDGE_SIMILAR = "hyperedge-similar"
 
-# Analysis operations build |V| x |V| outputs; refuse unreasonable sizes.
-MAX_ANALYSIS_VERTICES = 4096
-
-
-def _check_analysis_size(h: Hypergraph) -> None:
-    if h.num_vertices > MAX_ANALYSIS_VERTICES:
-        raise HypergraphError(
-            f"analysis operations refuse |V| > {MAX_ANALYSIS_VERTICES} "
-            f"(got {h.num_vertices})"
-        )
-
 
 def pair_groups(
     nodes: tuple[tuple[int, int], ...],
@@ -288,6 +277,13 @@ def renormalized_operator(le: LineExpansion) -> FactoredOperator:
     )
 
 
+def _symmetric_normalize(w: sp.csr_array, deg: np.ndarray) -> sp.csr_array:
+    """deg^{-1/2} w deg^{-1/2}, with zero rows and columns where deg = 0."""
+    inv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
+    scale = sp.diags_array(inv, format="csr")
+    return sp.csr_array(scale @ w @ scale)
+
+
 def clique_adjacency(h: Hypergraph) -> sp.csr_array:
     """Normalized clique-expansion adjacency with zero diagonal.
 
@@ -295,17 +291,12 @@ def clique_adjacency(h: Hypergraph) -> sp.csr_array:
     hyperedges and d_c(u) = sum_e h(u,e)(delta(e) - 1). Vertices with
     d_c = 0 get zero rows.
     """
-    _check_analysis_size(h)
     H = incidence_matrix(h)
     delta = hyperedge_degrees(h).as_array().astype(np.float64)
     w = sp.csr_array(H @ H.T)
     w.setdiag(0)
     w.eliminate_zeros()
-    d_c = H @ (delta - 1.0)
-    with np.errstate(divide="ignore"):
-        inv = np.where(d_c > 0, 1.0 / np.sqrt(np.maximum(d_c, 1e-300)), 0.0)
-    scale = sp.diags_array(inv, format="csr")
-    return sp.csr_array(scale @ w @ scale)
+    return _symmetric_normalize(w, H @ (delta - 1.0))
 
 
 def star_adjacency(h: Hypergraph, normalizer: str = "plain") -> sp.csr_array:
@@ -316,7 +307,6 @@ def star_adjacency(h: Hypergraph, normalizer: str = "plain") -> sp.csr_array:
     "weighted" uses the 1/delta-weighted degree sum_e h(u,e)/delta(e). The
     diagonal is kept as the formula produces it.
     """
-    _check_analysis_size(h)
     if normalizer not in ("plain", "weighted"):
         raise ValueError(f"unknown normalizer {normalizer!r}")
     H = incidence_matrix(h)
@@ -326,9 +316,7 @@ def star_adjacency(h: Hypergraph, normalizer: str = "plain") -> sp.csr_array:
         deg = vertex_degrees(h).as_array().astype(np.float64)
     else:
         deg = H @ (1.0 / delta)
-    inv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    scale = sp.diags_array(inv, format="csr")
-    return sp.csr_array(scale @ core @ scale)
+    return _symmetric_normalize(core, deg)
 
 
 def effective_vertex_adjacency(
@@ -343,7 +331,6 @@ def effective_vertex_adjacency(
     u and v and normalizes by sqrt of the weighted degrees. The diagonal is
     included as the formulas produce it.
     """
-    _check_analysis_size(h)
     if form not in ("symmetric", "random-walk"):
         raise ValueError(f"unknown form {form!r}")
     if w_v <= 0 and w_e <= 0:
@@ -373,8 +360,7 @@ def effective_vertex_adjacency(
         w_v * delta[coo.col] + w_e * d[coo.row]
     )
     B = sp.csr_array((vals, (coo.row, coo.col)), shape=H.shape)
-    scale = sp.diags_array(1.0 / np.sqrt(dw), format="csr")
-    return sp.csr_array(scale @ (B @ B.T) @ scale)
+    return _symmetric_normalize(B @ B.T, dw)
 
 
 def star_expansion_graph(h: Hypergraph) -> tuple[int, list[tuple[int, int]]]:
@@ -387,12 +373,12 @@ def star_expansion_graph(h: Hypergraph) -> tuple[int, list[tuple[int, int]]]:
 
 def line_graph(num_nodes: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Line graph on the given edge list: one node per input edge, adjacency
-    iff the edges share an endpoint. Returns edges over edge indices."""
-    out = []
-    for i in range(len(edges)):
-        a, b = edges[i]
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if a in (c, d) or b in (c, d):
-                out.append((i, j))
-    return out
+    iff the edges share an endpoint. Returns edges (i, j) over edge indices,
+    i < j, sorted."""
+    at_node: list[list[int]] = [[] for _ in range(num_nodes)]
+    for k, (a, b) in enumerate(edges):
+        at_node[a].append(k)
+        if b != a:
+            at_node[b].append(k)
+    # Two parallel edges share both endpoints, so their pair comes up twice.
+    return sorted({pair for ids in at_node for pair in combinations(ids, 2)})

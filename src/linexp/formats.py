@@ -4,54 +4,45 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Sequence
 
 import numpy as np
 
 from .expansions import LineExpansion, size_formulas
-from .hypergraph import Hypergraph, ParseError
+from .hypergraph import Hypergraph, ParseError, _read_header
 from .learn import Dataset, TrainConfig
 from .reconstruction import UnlabeledGraph, back_project_labeled
 
 
-def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
-    """Dump format: "<n> <m>"; one "<v> <e>" line per node ("? ?" when
-    unlabeled); one "<i> <j>" line per edge, indexing the node lines as
-    listed (from 0)."""
-    out = [f"{le.num_nodes} {le.num_edges}"]
-    for v, e in le.nodes:
-        out.append(f"{v} {e}" if labeled else "? ?")
-    for i, j, _kind in le.edges:
-        out.append(f"{i} {j}")
+def _render_dump(
+    num_nodes: int, edges: Sequence[tuple], labels: Sequence[tuple[int, int]] | None = None
+) -> str:
+    """Dump format: "<n> <m>"; one "<v> <e>" line per node from ``labels``
+    ("? ?" when None); one "<i> <j>" line per edge, indexing the node lines
+    as listed (from 0). Each edge is an (i, j, ...) tuple."""
+    out = [f"{num_nodes} {len(edges)}"]
+    out += ["? ?"] * num_nodes if labels is None else [f"{v} {e}" for v, e in labels]
+    out += [f"{edge[0]} {edge[1]}" for edge in edges]
     return "\n".join(out) + "\n"
+
+
+def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
+    """The line expansion as a dump (see :func:`_render_dump`), its nodes
+    labeled by their (vertex, hyperedge) pairs unless ``labeled`` is False."""
+    return _render_dump(le.num_nodes, le.edges, le.nodes if labeled else None)
 
 
 def parse_line_expansion_dump(
     text: str,
 ) -> tuple[UnlabeledGraph, list[tuple[int, int]] | None]:
     """Read a dump; returns the topology and the labels (None if stripped)."""
-    lines = [
-        (i, ln.strip())
-        for i, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines:
-        raise ParseError("missing header", 1)
-    line_no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError("header must be '<num_line_nodes> <num_edges>'", line_no)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("non-integer header", line_no) from None
-    if n < 0 or m < 0:
-        raise ParseError("negative counts in header", line_no)
-    if len(lines) - 1 != n + m:
+    line_no, n, m, lines = _read_header(text, "<num_line_nodes> <num_edges>")
+    if len(lines) != n + m:
         raise ParseError(f"expected {n} node lines and {m} edge lines", line_no)
     labels: list[tuple[int, int]] | None = []
     edges = []
     try:
-        for line_no, ln in lines[1 : 1 + n]:
+        for line_no, ln in lines[:n]:
             toks = ln.split()
             if len(toks) != 2:
                 raise ParseError("node line must have two fields", line_no)
@@ -62,7 +53,7 @@ def parse_line_expansion_dump(
                 if v < 0 or e < 0:
                     raise ParseError(f"negative label ({v}, {e})", line_no)
                 labels.append((v, e))
-        for line_no, ln in lines[1 + n :]:
+        for line_no, ln in lines[n:]:
             toks = ln.split()
             if len(toks) != 2:
                 raise ParseError("edge line must have two fields", line_no)

@@ -132,6 +132,34 @@ def validate(h: Hypergraph) -> ValidationReport:
     return ValidationReport(not empty, empty, isolated, tuple(dups))
 
 
+def _read_header(text: str, fields: str) -> tuple[int, int, int, list[tuple[int, str]]]:
+    """Split a text file into its content lines, skipping blank lines and
+    ``#`` comments, and read the first as a header of two counts.
+
+    Returns the header's line number, both counts, and the remaining lines
+    as (line number, stripped text). ``fields`` names the two counts in the
+    error for a malformed header.
+    """
+    content = [
+        (i, stripped)
+        for i, raw in enumerate(text.splitlines(), start=1)
+        if (stripped := raw.strip()) and not stripped.startswith("#")
+    ]
+    if not content:
+        raise ParseError("missing header", 1)
+    line_no, header = content[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError(f"header must be '{fields}'", line_no)
+    try:
+        a, b = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("non-integer header", line_no) from None
+    if a < 0 or b < 0:
+        raise ParseError("negative counts in header", line_no)
+    return line_no, a, b, content[1:]
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the hypergraph text format.
 
@@ -139,26 +167,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     with its space-separated 0-based vertex ids. Blank lines and ``#``
     comments are ignored. LF or CRLF.
     """
-    lines = text.splitlines()
-    content: list[tuple[int, str]] = []
-    for i, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        content.append((i, stripped))
-    if not content:
-        raise ParseError("missing header", 1)
-    line_no, header = content[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise ParseError("header must be '<num_vertices> <num_hyperedges>'", line_no)
-    try:
-        nv, ne = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError("non-integer header", line_no) from None
-    if nv < 0 or ne < 0:
-        raise ParseError("negative counts in header", line_no)
-    body = content[1:]
+    line_no, nv, ne, body = _read_header(text, "<num_vertices> <num_hyperedges>")
     if len(body) != ne:
         raise ParseError(
             f"expected {ne} hyperedge lines, found {len(body)}",

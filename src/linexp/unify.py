@@ -2,7 +2,11 @@
 expansions: the w_e = 0 symmetric form equals the weighted-degree star
 adjacency, and on 2-regular hypergraphs it is half the simple-graph GCN
 adjacency. The clique relationship is checked through an independently
-coded modified-weight clique adjacency."""
+coded modified-weight clique adjacency.
+
+Every adjacency here is sparse and so is every comparison: the maximum
+difference is read off the stored entries of ``a - b``, so the checks run
+at any size."""
 from __future__ import annotations
 
 import json
@@ -11,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .expansions import effective_vertex_adjacency, star_adjacency
+from .expansions import (
+    _symmetric_normalize,
+    effective_vertex_adjacency,
+    star_adjacency,
+)
 from .hypergraph import (
     Hypergraph,
     HypergraphError,
@@ -80,10 +88,7 @@ def modified_clique_adjacency(h: Hypergraph) -> sp.csr_array:
     w = sp.csr_array(H @ sp.diags_array(1.0 / (delta - 1.0) ** 2, format="csr") @ H.T)
     w.setdiag(0)
     w.eliminate_zeros()
-    d_c = H @ (1.0 / (delta - 1.0))
-    inv = np.where(d_c > 0, 1.0 / np.sqrt(np.maximum(d_c, 1e-300)), 0.0)
-    scale = sp.diags_array(inv, format="csr")
-    return sp.csr_array(scale @ w @ scale)
+    return _symmetric_normalize(w, H @ (1.0 / (delta - 1.0)))
 
 
 def simple_graph_adjacency(g: UnlabeledGraph) -> sp.csr_array:
@@ -107,11 +112,17 @@ def graph_as_hypergraph(g: UnlabeledGraph) -> Hypergraph:
     return Hypergraph(g.num_nodes, tuple((i, j) for i, j in g.edges))
 
 
-def _max_abs_diff(a: sp.csr_array, b: sp.csr_array, skip_diagonal: bool = False):
-    diff = (a - b).toarray()
+def _max_abs_diff(
+    a: sp.csr_array, b: sp.csr_array, skip_diagonal: bool = False
+) -> float:
+    """max |a - b|, read off the stored entries of the sparse difference
+    (every other entry of it is 0)."""
+    diff = sp.csr_array(a - b)
+    data = diff.data
     if skip_diagonal:
-        np.fill_diagonal(diff, 0.0)
-    return float(np.abs(diff).max()) if diff.size else 0.0
+        rows = np.repeat(np.arange(diff.shape[0]), np.diff(diff.indptr))
+        data = data[rows != diff.indices]
+    return float(np.abs(data).max()) if data.size else 0.0
 
 
 def check_star_equivalence(

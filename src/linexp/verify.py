@@ -1,8 +1,12 @@
 """Verification suites: projection identities, size formulas, the
 line-graph-of-star-expansion equivalence, expansion unification, and
-round-trip reconstruction."""
+round-trip reconstruction. Every comparison is sparse, with no size cap:
+``(a != b).nnz == 0`` for the integer identities, :mod:`linexp.unify` for the
+float ones. Over a corpus, a check reports its first failing instance's seed.
+"""
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,20 +58,18 @@ class CheckResult:
 
 def check_observation_identities(h: Hypergraph) -> CheckResult:
     """H_r^T H_r = [[D_v, H], [H^T, D_e]] and H_r H_r^T = 2I + A_l, both
-    integer-exact."""
+    integer-exact, compared as sparse matrices."""
     p = projections(h)
-    gram = block_gram(p).toarray()
-    H = incidence_matrix(h).toarray()
-    expected = np.block(
-        [
-            [np.diag(vertex_degrees(h).as_array().astype(float)), H],
-            [H.T, np.diag(hyperedge_degrees(h).as_array().astype(float))],
-        ]
-    )
-    ok1 = np.array_equal(gram, expected)
-    a_from_proj = adjacency_from_projections(p).toarray()
-    a_direct = line_expand(h, 1.0, 1.0).adjacency().toarray()
-    ok2 = np.array_equal(a_from_proj, a_direct)
+    H = incidence_matrix(h).tocoo()
+    nv, n = h.num_vertices, h.num_vertices + h.num_hyperedges
+    degrees = [vertex_degrees(h).as_array(), hyperedge_degrees(h).as_array()]
+    data = np.concatenate(degrees + [H.data, H.data]).astype(np.float64)
+    rows = np.concatenate([np.arange(n), H.row, nv + H.col])
+    cols = np.concatenate([np.arange(n), nv + H.col, H.row])
+    expected = sp.csr_array((data, (rows, cols)), shape=(n, n))
+    ok1 = (block_gram(p) != expected).nnz == 0
+    a_direct = line_expand(h, 1.0, 1.0).adjacency()
+    ok2 = (adjacency_from_projections(p) != a_direct).nnz == 0
     return CheckResult(
         "observation-identities",
         ok1 and ok2,
@@ -89,7 +91,7 @@ def check_line_graph_equivalence(h: Hypergraph) -> CheckResult:
     """LE(h) equals the line graph of the star expansion under the canonical
     (v, e) labeling: star-expansion edges are exactly the incidence pairs."""
     n_star, star_edges = star_expansion_graph(h)
-    lg_edges = {tuple(sorted(e)) for e in line_graph(n_star, star_edges)}
+    lg_edges = set(line_graph(n_star, star_edges))
     le = line_expand(h, 1.0, 1.0)
     # star_expansion_graph emits edges in h.pairs() order, matching le.nodes
     le_edges = {(i, j) for i, j, _ in le.edges}
@@ -166,6 +168,29 @@ def random_connected_graph(n: int, p: float, seed: int) -> UnlabeledGraph:
     return UnlabeledGraph.from_edges(n, edges)
 
 
+def _first_failure(
+    name: str, instances: list, check: Callable, pass_detail: str = ""
+) -> CheckResult:
+    """``check`` on each (instance, seed) in turn. The first failure is the
+    result, its detail tagged with the seed; a pass reports ``pass_detail``."""
+    for instance, inst_seed in instances:
+        res = check(instance)
+        if not res.passed:
+            tag = f" (seed {inst_seed})" if inst_seed is not None else ""
+            return CheckResult(name, False, res.detail + tag)
+    return CheckResult(name, True, pass_detail)
+
+
+def _reported(check: Callable, tol: float) -> Callable:
+    """A :mod:`linexp.unify` check at ``tol``, its report as the detail."""
+
+    def run(instance) -> CheckResult:
+        report = check(instance, tol)
+        return CheckResult(report.lhs, report.passed, str(report))
+
+    return run
+
+
 def run_verification(
     trials: int = 200,
     seed: int = 1,
@@ -174,7 +199,6 @@ def run_verification(
     tol: float = DEFAULT_TOL,
 ) -> list[CheckResult]:
     """The full property suite; generates a corpus when no input is given."""
-    results: list[CheckResult] = []
     if hypergraph is not None:
         corpus = [(hypergraph, None)]
     else:
@@ -186,55 +210,32 @@ def run_verification(
             p = float(rng.uniform(0.15, 0.6))
             corpus.append((random_hypergraph(nv, ne, p, seed + t), seed + t))
 
-    def all_pass(name, checker):
-        for h, inst_seed in corpus:
-            res = checker(h)
-            if not res.passed:
-                tag = f" (seed {inst_seed})" if inst_seed is not None else ""
-                results.append(CheckResult(name, False, res.detail + tag))
-                return
-        results.append(CheckResult(name, True, f"{len(corpus)} instance(s)"))
-
-    all_pass("observation-identities", check_observation_identities)
-    all_pass("size-formulas", check_size_formulas)
-    all_pass("line-graph-of-star-expansion", check_line_graph_equivalence)
-    all_pass("labeled-round-trip", check_labeled_round_trip)
+    pass_detail = f"{len(corpus)} instance(s)"
+    results = [
+        _first_failure(name, corpus, check, pass_detail)
+        for name, check in (
+            ("observation-identities", check_observation_identities),
+            ("size-formulas", check_size_formulas),
+            ("line-graph-of-star-expansion", check_line_graph_equivalence),
+            ("labeled-round-trip", check_labeled_round_trip),
+        )
+    ]
 
     # star equivalence needs no zero-degree vertices
-    star_fail = None
-    for h, inst_seed in corpus:
-        if any(len(h.vertex_edges(v)) == 0 for v in range(h.num_vertices)):
-            continue
-        rep = check_star_equivalence(h, tol, inst_seed)
-        if not rep.passed:
-            star_fail = rep
-            break
-    results.append(
-        CheckResult(
-            "star-equivalence",
-            star_fail is None,
-            str(star_fail) if star_fail else "",
-        )
-    )
+    no_isolated = [
+        (h, s) for h, s in corpus if all(h.vertex_edges(v) for v in range(h.num_vertices))
+    ]
+    star = _reported(check_star_equivalence, tol)
+    results.append(_first_failure("star-equivalence", no_isolated, star))
 
     if hypergraph is None:
         rng2 = np.random.default_rng(seed + 7)
-        factor_fail = None
+        graphs = []
         for t in range(min(trials, 50)):
-            g = random_connected_graph(
-                int(rng2.integers(2, 30)), float(rng2.uniform(0.05, 0.4)), seed + t
-            )
-            rep = check_simple_graph_factor(g, tol, seed + t)
-            if not rep.passed:
-                factor_fail = rep
-                break
-        results.append(
-            CheckResult(
-                "simple-graph-factor",
-                factor_fail is None,
-                str(factor_fail) if factor_fail else "",
-            )
-        )
+            n, p = int(rng2.integers(2, 30)), float(rng2.uniform(0.05, 0.4))
+            graphs.append((random_connected_graph(n, p, seed + t), seed + t))
+        factor = _reported(check_simple_graph_factor, tol)
+        results.append(_first_failure("simple-graph-factor", graphs, factor))
 
     if reconstruct:
         small = [
@@ -244,17 +245,8 @@ def run_verification(
         ]
         if hypergraph is not None and not small:
             small = [(h, s) for h, s in corpus if line_expand(h).num_nodes <= MAX_KRAUSZ_NODES]
-        fail = None
-        for h, inst_seed in small:
-            res = check_unlabeled_round_trip(h)
-            if not res.passed:
-                fail = (res, inst_seed)
-                break
         results.append(
-            CheckResult(
-                "unlabeled-round-trip",
-                fail is None,
-                f"{len(small)} instance(s)" if fail is None else str(fail),
-            )
+            _first_failure("unlabeled-round-trip", small, check_unlabeled_round_trip,
+                           f"{len(small)} instance(s)")
         )
     return results

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 import linexp as lx
@@ -384,3 +385,36 @@ class TestLineGraphEquivalence:
     def test_corpus(self):
         for h in random_corpus(50, nv=12, ne=6, p=0.3):
             assert check_line_graph_equivalence(h).passed
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_line_graph_matches_networkx(self, h):
+        n, edges = star_expansion_graph(h)
+        got = line_graph(n, edges)
+        index = {frozenset(edge): k for k, edge in enumerate(edges)}
+        expected = sorted(
+            tuple(sorted((index[frozenset(a)], index[frozenset(b)])))
+            for a, b in nx.line_graph(nx.Graph(edges)).edges
+        )
+        assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=10),
+            )
+        )
+    )
+    def test_line_graph_of_multigraph_matches_pairwise_definition(self, graph):
+        # parallel edges and self-loops, which a star expansion never has
+        n, edges = graph
+        expected = [
+            (i, j)
+            for i in range(len(edges))
+            for j in range(i + 1, len(edges))
+            if set(edges[i]) & set(edges[j])
+        ]
+        assert line_graph(n, edges) == expected

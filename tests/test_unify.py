@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import linexp as lx
 from linexp.unify import (
+    _max_abs_diff,
     check_simple_graph_factor,
     check_star_equivalence,
     degraded_line_adjacency,
@@ -108,3 +110,14 @@ class TestGraphAsHypergraph:
         h = graph_as_hypergraph(g)
         assert all(len(e) == 2 for e in h.edges)
         assert h.num_hyperedges == 3
+
+
+def test_max_abs_diff_reads_the_sparse_difference():
+    a = sp.csr_array(np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0]]))
+    off = sp.csr_array(np.array([[1.0, 2.5, 0.0], [0.0, 3.0, 0.0], [0.0, -0.75, 0.0]]))
+    diag = sp.csr_array(np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 4.0]]))
+    assert _max_abs_diff(a, off) == 0.75
+    assert _max_abs_diff(a, off, skip_diagonal=True) == 0.75
+    assert _max_abs_diff(a, diag) == 4.0
+    assert _max_abs_diff(a, diag, skip_diagonal=True) == 0.0
+    assert _max_abs_diff(a, a) == 0.0
