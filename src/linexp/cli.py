@@ -64,10 +64,12 @@ def cmd_expand(args) -> int:
             if args.mode == "clique"
             else star_adjacency(h)
         )
-        coo = sp.coo_array(adj)
-        edges = sorted(
-            {(int(r), int(c)) for r, c in zip(coo.row, coo.col) if r < c}
-        )
+        # Canonical CSR: each row's columns sorted and distinct, so its
+        # upper triangle lists the edges (r, c), r < c, in sorted order.
+        adj.sum_duplicates()
+        rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
+        upper = rows < adj.indices
+        edges = list(zip(rows[upper].tolist(), adj.indices[upper].tolist()))
         text = formats._render_dump(h.num_vertices, edges)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(text)

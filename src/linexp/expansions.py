@@ -83,6 +83,12 @@ class LineExpansion:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
+    @property
+    def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """v_of and e_of: the vertex and the hyperedge of each line node."""
+        pairs = np.asarray(self.nodes, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
     @cached_property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
         by_vertex, by_edge = pair_groups(self.nodes)
@@ -264,7 +270,7 @@ def renormalized_operator(le: LineExpansion) -> FactoredOperator:
     """
     if le.num_nodes == 0:
         raise HypergraphError("line expansion is empty")
-    v_of, e_of = np.asarray(le.nodes, dtype=np.int64).T
+    v_of, e_of = le.pair_arrays
     d = np.bincount(v_of)[v_of]
     delta = np.bincount(e_of)[e_of]
     return FactoredOperator(

@@ -10,6 +10,13 @@ The full operator is applied in its factored form (see
 ``op @ h`` and ``op.T @ g``. Each layer propagates at min(d_in, d_out)
 columns: a layer that narrows (d_out < d_in) multiplies by theta before the
 operator, as in Kipf & Welling's GCN, the others after it.
+
+With sampling on, each epoch draws every line node's neighbor sample at once,
+over the line nodes grouped by vertex and by hyperedge: a node whose group
+has at most delta other members takes them all, and every other node takes
+delta of them in delta vectorized steps of Floyd's algorithm. An epoch so
+makes at most delta_v + delta_e calls to the generator, whatever the size of
+the line expansion.
 """
 from __future__ import annotations
 
@@ -26,7 +33,6 @@ from .expansions import (
     NormalizedOperator,
     ProjectionSet,
     line_expand,
-    pair_groups,
     projections,
     renormalized_operator,
 )
@@ -85,7 +91,12 @@ class Dataset:
 @dataclass
 class SamplingConfig:
     """Neighbor-sampling thresholds: delta_v caps vertex-similar neighbor
-    sets (same vertex), delta_e caps hyperedge-similar sets (same edge)."""
+    sets (same vertex), delta_e caps hyperedge-similar sets (same edge).
+
+    ``seed`` is not read: the generator passed to :func:`sampled_operator`
+    and :func:`sample_neighbors` (in training, the trainer's own, seeded by
+    ``TrainConfig.seed``) drives every draw.
+    """
 
     delta_v: int
     delta_e: int
@@ -164,8 +175,17 @@ class Model:
 
 @dataclass
 class TrainReport:
+    """Per-epoch records (one entry per epoch run) and the final result.
+
+    ``epoch_seconds`` times each epoch's training step and validation
+    forward; ``sampled_arcs`` is the sampled operator's nnz per epoch, 0 on
+    full-batch epochs.
+    """
+
     losses: list[float]
     val_accuracies: list[float]
+    epoch_seconds: list[float]
+    sampled_arcs: list[int]
     test_accuracy: float
     wall_time_s: float
     seed: int
@@ -324,17 +344,61 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     return float((logits[idx].argmax(axis=1) == labels[idx]).mean())
 
 
-def _draw(
-    neigh: list[int], threshold: int, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """The whole set with scale 1 when it has at most ``threshold`` members,
-    else a sorted uniform sample of ``threshold`` of them with scale
-    |N|/threshold."""
-    arr = np.asarray(neigh, dtype=np.int64)
-    if len(arr) <= threshold:
-        return arr, 1.0
-    pick = rng.choice(arr, size=threshold, replace=False)
-    return np.sort(pick), len(arr) / threshold
+def _draw_arcs(
+    of: np.ndarray, rows: np.ndarray, threshold: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample each of ``rows``' neighbors within its group of line nodes.
+
+    ``of[i]`` is the group of line node i (its vertex or its hyperedge);
+    the neighbors N of a row are the other members of its group. A row with
+    |N| <= ``threshold`` takes N whole with scale 1. Every other row takes a
+    uniform sample of ``threshold`` distinct members of N with scale
+    |N|/threshold, drawn for all such rows at once by Floyd's algorithm
+    (Bentley & Floyd, CACM 1987): step s draws r in [0, t] with
+    t = |N| - threshold + s, and takes t instead if r was already picked.
+    That is ``threshold`` calls to ``rng``, however many rows there are.
+    Returns the arcs as (row, column, scale) arrays.
+    """
+    # Group members sit contiguously in ``order``, each group ascending.
+    order = np.argsort(of, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(of))
+    counts = np.bincount(of)
+    first = (np.cumsum(counts) - counts)[of[rows]]
+    size = counts[of[rows]] - 1          # |N| of each row
+    own = position[rows] - first         # the row's own offset in its group
+
+    whole = size <= threshold
+    # Small groups: every offset in the group but the row's own.
+    n_whole = size[whole] + 1
+    starts = np.repeat(np.cumsum(n_whole) - n_whole, n_whole)
+    offset = np.arange(starts.size) - starts
+    keep = offset != np.repeat(own[whole], n_whole)
+    small_rows = np.repeat(rows[whole], n_whole)[keep]
+    small_cols = order[np.repeat(first[whole], n_whole)[keep] + offset[keep]]
+
+    # Large groups: threshold distinct offsets in [0, |N|) per row, one
+    # vectorized Floyd step per column of ``picks``.
+    cut = ~whole
+    m = size[cut]
+    picks = np.empty((m.size, threshold), dtype=np.int64)
+    for s in range(threshold):
+        t = m - threshold + s
+        r = rng.integers(0, t + 1)
+        seen = (picks[:, :s] == r[:, None]).any(axis=1)
+        picks[:, s] = np.where(seen, t, r)
+    # Offsets at or past the row's own skip it.
+    picks += picks >= own[cut, None]
+    large_cols = order[(first[cut, None] + picks).ravel()]
+    large_rows = np.repeat(rows[cut], threshold)
+
+    return (
+        np.concatenate([small_rows, large_rows]),
+        np.concatenate([small_cols, large_cols]),
+        np.concatenate(
+            [np.ones(small_rows.size), np.repeat(m / threshold, threshold)]
+        ),
+    )
 
 
 def sample_neighbors(
@@ -343,19 +407,23 @@ def sample_neighbors(
     cfg: SamplingConfig,
     rng: np.random.Generator,
 ) -> SampledNeighborhood:
-    """Uniform without-replacement sample of each neighbor set.
+    """Uniform without-replacement sample of each neighbor set of one line
+    node: the row ``node`` of the draw that :func:`sampled_operator` makes
+    for every row.
 
     Sets at or under their threshold are returned whole with scale 1;
     larger sets are cut to the threshold with scale |N|/threshold, making
-    the scaled sampled sum an unbiased estimator of the full sum.
+    the scaled sampled sum an unbiased estimator of the full sum. Each
+    sample is sorted.
     """
     if not 0 <= node < le.num_nodes:
         raise IndexError(f"line node {node} out of range")
-    by_vertex, by_edge = pair_groups(le.nodes)
-    v, e = le.nodes[node]
-    v_pick, v_scale = _draw([j for j in by_vertex[v] if j != node], cfg.delta_v, rng)
-    e_pick, e_scale = _draw([j for j in by_edge[e] if j != node], cfg.delta_e, rng)
-    return SampledNeighborhood(node, v_pick, v_scale, e_pick, e_scale)
+    rows = np.array([node])
+    picked = []
+    for of, threshold in zip(le.pair_arrays, (cfg.delta_v, cfg.delta_e)):
+        _, cols, scale = _draw_arcs(of, rows, threshold, rng)
+        picked += [np.sort(cols), float(scale[0]) if scale.size else 1.0]
+    return SampledNeighborhood(node, *picked)
 
 
 def sampled_operator(
@@ -363,30 +431,36 @@ def sampled_operator(
 ) -> NormalizedOperator:
     """Renormalized operator over a per-node sampled neighborhood.
 
-    Vertex-similar entries carry w_e, hyperedge-similar entries w_v, each
-    scaled by |N|/threshold when cut; self-loops weigh w_v + w_e. Row-wise
-    sampling can make the matrix asymmetric before normalization.
+    Every line node's vertex-similar and hyperedge-similar neighbors are
+    drawn at once by :func:`_draw_arcs`: in ``delta_v`` and ``delta_e``
+    vectorized Floyd steps, not one draw per node. Vertex-similar entries
+    carry w_e, hyperedge-similar entries w_v, each scaled by |N|/threshold
+    when cut; a kind whose weight is zero is not drawn. Self-loops weigh
+    w_v + w_e, and each row is normalized by the sampled row sums.
+    Row-wise sampling can make the matrix asymmetric before normalization.
     """
-    by_vertex, by_edge = pair_groups(le.nodes)
+    v_of, e_of = le.pair_arrays
     n = le.num_nodes
-    rows, cols, data = [], [], []
-    for i, (v, e) in enumerate(le.nodes):
-        for group, threshold, weight in (
-            (by_vertex[v], cfg.delta_v, le.w_e), (by_edge[e], cfg.delta_e, le.w_v)
-        ):
-            pick, scale = _draw([j for j in group if j != i], threshold, rng)
-            rows += [i] * len(pick)
-            cols += pick.tolist()
-            data += [weight * scale] * len(pick)
     s = le.w_v + le.w_e
+    nodes = np.arange(n)
+    rows, cols, data = [nodes], [nodes], [np.full(n, s)]
+    for of, threshold, weight in (
+        (v_of, cfg.delta_v, le.w_e), (e_of, cfg.delta_e, le.w_v)
+    ):
+        if weight:
+            r, c, scale = _draw_arcs(of, nodes, threshold, rng)
+            rows.append(r)
+            cols.append(c)
+            data.append(weight * scale)
     a_tilde = sp.csr_array(
-        (np.asarray(data), (rows, cols)), shape=(n, n)
-    ) + s * sp.identity(n, format="csr")
-    rowsum = np.asarray(a_tilde.sum(axis=1)).ravel()
-    d_inv_sqrt = sp.diags_array(1.0 / np.sqrt(rowsum), format="csr")
-    return NormalizedOperator(
-        sp.csr_array(d_inv_sqrt @ a_tilde @ d_inv_sqrt), le.w_v, le.w_e, s
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
     )
+    a_tilde.sort_indices()
+    d = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    entry_rows = np.repeat(nodes, np.diff(a_tilde.indptr))
+    a_tilde.data = d[entry_rows] * a_tilde.data * d[a_tilde.indices]
+    return NormalizedOperator(a_tilde, le.w_v, le.w_e, s)
 
 
 def train(
@@ -414,11 +488,14 @@ def train(
     scfg = SamplingConfig(config.delta_v, config.delta_e, config.seed)
     losses: list[float] = []
     val_accs: list[float] = []
+    epoch_seconds: list[float] = []
+    sampled_arcs: list[int] = []
     best_val = -1.0
     best_model = model.copy()
     since_best = 0
     op = full_op
     for epoch in range(config.epochs):
+        epoch_start = time.perf_counter()
         # With sampling off, the previous epoch's validation forward already
         # holds the full-operator logits and caches of the current model.
         if config.sampling:
@@ -426,6 +503,7 @@ def train(
             logits, caches = forward(model, op, p, x)
         elif epoch == 0:
             logits, caches = forward(model, op, p, x)
+        sampled_arcs.append(op.nnz if config.sampling else 0)
         loss = cross_entropy(logits, dataset.labels, dataset.train_mask)
         if config.weight_decay:
             loss += 0.5 * config.weight_decay * sum(
@@ -450,6 +528,7 @@ def train(
         logits, caches = forward(model, full_op, p, x)
         val = accuracy(logits, dataset.labels, dataset.val_mask)
         val_accs.append(val)
+        epoch_seconds.append(time.perf_counter() - epoch_start)
         if dataset.val_mask.any():
             if val > best_val:
                 best_val = val
@@ -468,6 +547,8 @@ def train(
     report = TrainReport(
         losses=losses,
         val_accuracies=val_accs,
+        epoch_seconds=epoch_seconds,
+        sampled_arcs=sampled_arcs,
         test_accuracy=test_acc,
         wall_time_s=time.perf_counter() - start,
         seed=config.seed,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import linexp as lx
@@ -60,6 +61,34 @@ class TestExpand:
                 for b in range(a + 1, len(verts)):
                     expected.add((verts[a], verts[b]))
         assert edges == expected
+
+    @staticmethod
+    def comprehension_dump(h, mode):
+        """The clique or star dump written from a set of every stored
+        (r, c), r < c, of the adjacency's COO form, sorted."""
+        adj = lx.clique_adjacency(h) if mode == "clique" else lx.star_adjacency(h)
+        coo = sp.coo_array(adj)
+        edges = sorted({(int(r), int(c)) for r, c in zip(coo.row, coo.col) if r < c})
+        return formats._render_dump(h.num_vertices, edges)
+
+    def expand_text(self, h, mode):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "h.hg", Path(tmp) / "out.txt"
+            path.write_text(lx.render_hypergraph(h))
+            assert main(["expand", "--mode", mode, "--input", str(path),
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["clique", "star"])
+    def test_dump_matches_comprehension_on_worked_example(self, worked, mode):
+        assert self.expand_text(worked, mode) == (
+            self.comprehension_dump(worked, mode).encode()
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(messy_hypergraphs(), st.sampled_from(["clique", "star"]))
+    def test_dump_matches_comprehension(self, h, mode):
+        assert self.expand_text(h, mode) == self.comprehension_dump(h, mode).encode()
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert main(["expand", "--mode", "line",

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import linexp as lx
-from linexp.expansions import line_expand, projections, renormalized_operator
+from linexp.expansions import (
+    line_expand,
+    pair_groups,
+    projections,
+    renormalized_operator,
+)
 from linexp.learn import (
     Model,
+    _draw_arcs,
     NumericError,
     accuracy,
     backward,
@@ -20,6 +28,8 @@ from linexp.learn import (
     softmax,
     value_hypergraph,
 )
+
+from test_expansions import messy_hypergraphs
 
 
 def recorded_problem():
@@ -59,17 +69,53 @@ RECORDED_FULL = {
 }
 RECORDED_SAMPLED = {
     "losses": [
-        1.1095169449880604, 1.070806725614172, 1.025541329807273,
-        1.012977772389159, 0.9983741529333658, 0.9836671545333321,
-        0.9232921202778772, 0.92920607266294, 0.8924762649042167,
-        0.9291546263791204, 0.9051999387448607, 0.8927384536232429,
-        0.811241753953707, 0.8202092528226201, 0.782284652392981,
-        0.7994494735246587, 0.8802986916288111, 0.830356573391833,
+        1.1078307807203982, 1.0613454321944502, 1.0476300440448432,
+        0.978917324366137, 0.9710744708958995, 0.9603231682302296,
+        0.9442145482221299, 0.9422726875297063, 0.8352553047187706,
+        0.9129036300945478, 0.9101917419715415, 0.8898136202943322,
+        0.8396081289270496, 0.8901079507509093, 0.8797152329053336,
+        0.8931501746788395, 0.8093082272702248,
     ],
-    "val_accuracies": [0, 1 / 6, 0, 0, 0, 1 / 6, 1 / 6, 1 / 3, 1 / 2, 1 / 2,
-                       1 / 2, 2 / 3, 1 / 2, 1 / 2, 1 / 3, 1 / 2, 2 / 3, 2 / 3],
-    "test_accuracy": 0.625,
+    "val_accuracies": [0, 0, 1 / 6, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3,
+                       1 / 2, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3],
+    "test_accuracy": 0.75,
 }
+
+
+def uncut_loop_operator(le):
+    """The sampled operator as first written, one line node at a time, when
+    no neighbor set exceeds its threshold: every set taken whole."""
+    by_vertex, by_edge = pair_groups(le.nodes)
+    n = le.num_nodes
+    rows, cols, data = [], [], []
+    for i, (v, e) in enumerate(le.nodes):
+        for group, weight in ((by_vertex[v], le.w_e), (by_edge[e], le.w_v)):
+            pick = [j for j in group if j != i]
+            rows += [i] * len(pick)
+            cols += pick
+            data += [weight] * len(pick)
+    s = le.w_v + le.w_e
+    a_tilde = sp.csr_array(
+        (np.asarray(data), (rows, cols)), shape=(n, n)
+    ) + s * sp.identity(n, format="csr")
+    rowsum = np.asarray(a_tilde.sum(axis=1)).ravel()
+    d_inv_sqrt = sp.diags_array(1.0 / np.sqrt(rowsum), format="csr")
+    return sp.csr_array(d_inv_sqrt @ a_tilde @ d_inv_sqrt)
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the methods called on it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
+
+
+WEIGHTS = [(1.0, 1.0), (0.0, 1.0), (2.5, 0.0), (0.3, 1.7)]
 
 
 def make_model(h, d_in, hidden, d_out, layers, seed=0, w_v=1.0, w_e=1.0):
@@ -286,6 +332,101 @@ class TestSampling:
             sample_neighbors(le, 99, lx.SamplingConfig(4, 4),
                              np.random.default_rng(0))
 
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs(), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from(WEIGHTS), st.integers(0, 2**32 - 1))
+    def test_sampled_arcs(self, h, delta_v, delta_e, weights, seed):
+        le = line_expand(h, *weights)
+        n = le.num_nodes
+        v_of, e_of = np.asarray(le.nodes).T
+        rng = np.random.default_rng(seed)
+        kinds = ((v_of, delta_v, le.w_e), (e_of, delta_e, le.w_v))
+        for of, delta, _ in kinds:
+            rows, cols, scale = _draw_arcs(of, np.arange(n), delta, rng)
+            size = np.bincount(of)[of] - 1
+            assert (of[rows] == of[cols]).all()
+            assert (rows != cols).all()
+            assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+            assert np.array_equal(
+                np.bincount(rows, minlength=n), np.minimum(size, delta)
+            )
+            cut = size[rows] > delta
+            assert np.array_equal(scale, np.where(cut, size[rows] / delta, 1.0))
+
+        # The matrix: recover sI + A from D^{-1/2} (sI + A) D^{-1/2}, whose
+        # diagonal is s / D.
+        m = sampled_operator(le, lx.SamplingConfig(delta_v, delta_e), rng).matrix
+        s = le.w_v + le.w_e
+        deg = s / m.diagonal()
+        a = m.tocoo()
+        a_data = a.data * np.sqrt(deg[a.row] * deg[a.col])
+        assert np.allclose(np.bincount(a.row, weights=a_data, minlength=n), deg,
+                           rtol=1e-12, atol=0)
+        off = a.row != a.col
+        i, j, a_ij = a.row[off], a.col[off], a_data[off]
+        same_v = v_of[i] == v_of[j]
+        assert (same_v != (e_of[i] == e_of[j])).all()
+        for (of, delta, weight), kind in zip(kinds, (same_v, ~same_v)):
+            size = np.bincount(of)[of] - 1
+            expected = np.minimum(size, delta) if weight else np.zeros(n, int)
+            assert np.array_equal(np.bincount(i[kind], minlength=n), expected)
+            cut = size[i[kind]] > delta
+            assert np.allclose(
+                a_ij[kind], weight * np.where(cut, size[i[kind]] / delta, 1.0),
+                rtol=1e-12, atol=0,
+            )
+
+    def test_per_arc_inclusion_frequency(self):
+        # 1,000 disjoint hyperedges of 21 vertices; line node i is vertex i.
+        # Each call draws 4 of the 20 neighbors of every node, so 20 calls
+        # give 20,000 draws for the node at each position in its hyperedge.
+        groups, size, delta, calls = 1000, 21, 4, 20
+        h = lx.Hypergraph(groups * size, tuple(
+            tuple(range(g * size, (g + 1) * size)) for g in range(groups)
+        ))
+        le = line_expand(h)
+        rng = np.random.default_rng(2024)
+        counts = np.zeros((size, size))
+        for _ in range(calls):
+            m = sampled_operator(le, lx.SamplingConfig(1, delta), rng).matrix.tocoo()
+            off = m.row != m.col
+            np.add.at(counts, (m.row[off] % size, m.col[off] % size), 1)
+        draws = groups * calls
+        assert (counts.sum(axis=1) == delta * draws).all()
+        assert (np.diag(counts) == 0).all()
+        # The middle node skips itself in both directions.
+        p = delta / (size - 1)
+        se = np.sqrt(p * (1 - p) / draws)
+        freq = np.delete(counts[size // 2], size // 2) / draws
+        assert (np.abs(freq - p) < 3 * se).all()
+
+    def test_generator_calls_do_not_grow_with_line_nodes(self):
+        # groups of 10 vertices, each in 6 identical hyperedges: every
+        # vertex-similar set (5) and hyperedge-similar set (9) is cut.
+        calls = []
+        for groups in (2, 200):
+            edges = tuple(
+                tuple(range(g * 10, g * 10 + 10)) for g in range(groups) for _ in range(6)
+            )
+            le = line_expand(lx.Hypergraph(groups * 10, edges))
+            rng = CountingGenerator(7)
+            sampled_operator(le, lx.SamplingConfig(2, 3), rng)
+            calls.append(rng.calls)
+        assert calls[0] == calls[1] <= 2 + 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_uncut_operator_matches_loop_and_full(self, h):
+        for w_v, w_e in ((1.0, 1.0), (0.0, 1.0), (2.5, 0.0)):
+            le = line_expand(h, w_v, w_e)
+            by_vertex, by_edge = pair_groups(le.nodes)
+            largest = max(len(g) for g in by_vertex + by_edge) - 1
+            cfg = lx.SamplingConfig(max(largest, 1), max(largest, 1))
+            got = sampled_operator(le, cfg, np.random.default_rng(0)).matrix.toarray()
+            assert np.abs(got - uncut_loop_operator(le).toarray()).max() <= 1e-15
+            full = renormalized_operator(le).matrix.toarray()
+            assert np.abs(got - full).max() <= 1e-15
+
     def test_sampled_operator_equals_full_when_thresholds_large(self, worked):
         le = line_expand(worked)
         full = renormalized_operator(le).matrix.toarray()
@@ -387,6 +528,25 @@ class TestTrain:
                                        delta_v=2, delta_e=2))
         assert len(built) == 1
         assert "matrix" not in vars(built[0])
+
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_per_epoch_records(self, monkeypatch, sampling):
+        nnz = []
+
+        def recording_operator(*args):
+            op = sampled_operator(*args)
+            nnz.append(op.matrix.nnz)
+            return op
+
+        monkeypatch.setattr(lx.learn, "sampled_operator", recording_operator)
+        _, report = lx.train(*recorded_problem(), recorded_config(sampling))
+        epochs = len(report.losses)
+        assert epochs < recorded_config(sampling).epochs  # stopped early
+        assert len(report.val_accuracies) == len(report.epoch_seconds) == epochs
+        assert all(t > 0 for t in report.epoch_seconds)
+        assert sum(report.epoch_seconds) <= report.wall_time_s
+        assert report.sampled_arcs == (nnz if sampling else [0] * epochs)
+        assert len(nnz) == (epochs if sampling else 0)
 
     def test_report_serializable(self):
         h, ds = separable_toy(vertices_per_class=5, seed=6)
