@@ -83,10 +83,12 @@ class LineExpansion:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
+    @cached_property
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """v_of and e_of: the vertex and the hyperedge of each line node."""
+        """v_of and e_of: the vertex and the hyperedge of each line node,
+        built on first use and read-only."""
         pairs = np.asarray(self.nodes, dtype=np.int64).reshape(-1, 2)
+        pairs.flags.writeable = False
         return pairs[:, 0], pairs[:, 1]
 
     @cached_property

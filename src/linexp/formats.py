@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -32,48 +33,108 @@ def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
     return _render_dump(le.num_nodes, le.edges, le.nodes if labeled else None)
 
 
+def _read_dump(text: str) -> tuple[int, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Read a dump (see :func:`_render_dump`) as integer arrays.
+
+    Returns the node count, the labels as an (n, 2) array (None when the
+    node lines are "? ?"), and the distinct edges (i < j), ascending, as the
+    arrays of their i and of their j. Fields are base-10 int64. Whole-array
+    checks decide whether any line is faulty; only then does
+    :func:`_first_fault` find the first faulty line, from per-line masks.
+    """
+    header, n, m, lines, numbers = _read_header(text, "<num_line_nodes> <num_edges>")
+    if len(lines) != n + m:
+        raise ParseError(f"expected {n} node lines and {m} edge lines", header)
+    tokens = " ".join(lines).split()
+    first = n if n > 0 and lines[0].split() == ["?", "?"] else 0  # the first line of integers
+    fields = list(map(len, map(str.split, lines)))
+    clean = fields.count(2) == len(lines) and tokens.count("?") == 2 * first
+    if clean:
+        try:
+            values = np.array(tokens[2 * first:], dtype=np.int64)
+        except (ValueError, OverflowError):
+            clean = False
+    if clean:
+        pairs = values.reshape(-1, 2)
+        edges = pairs[n - first:]
+        i, j = edges.T
+        clean = values.min(initial=0) >= 0 and edges.max(initial=-1) < n and not (i == j).any()
+    if not clean:
+        raise _first_fault(lines, numbers, n)
+    keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    distinct = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    lo, hi = np.divmod(keys[distinct], max(n, 1))
+    return n, None if first else pairs[:n], lo, hi
+
+
+def _first_fault(lines: list[str], numbers: Sequence[int], n: int) -> ParseError:
+    """The error for the first faulty line of a dump body whose first ``n``
+    lines are node lines, with the first of that line's faults in this
+    order: field count, then "?", then integer, then range. Node lines must
+    be all "? ?" or all "<v> <e>"."""
+    two = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines)) == 2
+    checked = len(lines) if two.all() else int(two.argmin())
+    # The lines before ``checked`` hold tokens 2k and 2k + 1.
+    tokens = " ".join(lines[:checked]).split()
+    nodes = min(n, checked)
+    is_q = np.array([tok == "?" for tok in tokens[:2 * nodes]], dtype=bool).reshape(-1, 2)
+    unlabeled = nodes > 0 and bool(is_q[0].all())
+    first = nodes if unlabeled else 0  # the first line of integers
+    ints = list(map(_int_or_none, tokens[2 * first:]))
+    fits = [x is not None and -(1 << 63) <= x < 1 << 63 for x in ints]
+    not_int = np.array([x is None for x in ints], dtype=bool).reshape(-1, 2)
+    too_large = ~np.array(fits, dtype=bool).reshape(-1, 2) & ~not_int
+    pairs = np.array([x if ok else 0 for x, ok in zip(ints, fits)], dtype=np.int64).reshape(-1, 2)
+    edges = pairs[n - first:]
+
+    bad_q = ~is_q.all(axis=1) if unlabeled else is_q.any(axis=1)
+    bad_int = np.zeros(checked, dtype=bool)
+    bad_int[first:] = not_int.any(axis=1)
+    out_of_range = np.zeros(checked, dtype=bool)
+    out_of_range[first:n] = (pairs[:n - first] < 0).any(axis=1)
+    out_of_range[n:] = ((edges < 0) | (edges >= n)).any(axis=1) | (edges[:, 0] == edges[:, 1])
+    out_of_range[first:] |= too_large.any(axis=1)
+    bad = bad_int | out_of_range
+    bad[:nodes] |= bad_q
+    if not bad.any():
+        kind = "node" if checked < n else "edge"
+        return ParseError(f"{kind} line must have two fields", numbers[checked])
+    k = int(bad.argmax())
+    if k < nodes and bad_q[k]:
+        return ParseError("node lines must be all '? ?' or all '<v> <e>'", numbers[k])
+    if bad_int[k]:
+        return ParseError("non-integer field", numbers[k])
+    a, b = (int(tok) for tok in lines[k].split())
+    if k >= n:
+        return ParseError(f"bad edge ({a}, {b})", numbers[k])
+    if a < 0 or b < 0:
+        return ParseError(f"negative label ({a}, {b})", numbers[k])
+    return ParseError(f"label ({a}, {b}) does not fit in int64", numbers[k])
+
+
+def _int_or_none(tok: str) -> int | None:
+    try:
+        return int(tok)
+    except ValueError:
+        return None
+
+
 def parse_line_expansion_dump(
     text: str,
 ) -> tuple[UnlabeledGraph, list[tuple[int, int]] | None]:
     """Read a dump; returns the topology and the labels (None if stripped)."""
-    line_no, n, m, lines = _read_header(text, "<num_line_nodes> <num_edges>")
-    if len(lines) != n + m:
-        raise ParseError(f"expected {n} node lines and {m} edge lines", line_no)
-    labels: list[tuple[int, int]] | None = []
-    edges = []
-    try:
-        for line_no, ln in lines[:n]:
-            toks = ln.split()
-            if len(toks) != 2:
-                raise ParseError("node line must have two fields", line_no)
-            if toks[0] == "?":
-                labels = None
-            elif labels is not None:
-                v, e = int(toks[0]), int(toks[1])
-                if v < 0 or e < 0:
-                    raise ParseError(f"negative label ({v}, {e})", line_no)
-                labels.append((v, e))
-        for line_no, ln in lines[n:]:
-            toks = ln.split()
-            if len(toks) != 2:
-                raise ParseError("edge line must have two fields", line_no)
-            i, j = int(toks[0]), int(toks[1])
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ParseError(f"bad edge ({i}, {j})", line_no)
-            edges.append((i, j))
-    except ParseError:
-        raise
-    except ValueError:
-        raise ParseError("non-integer field", line_no) from None
-    return UnlabeledGraph.from_edges(n, edges), labels
+    n, labels, lo, hi = _read_dump(text)
+    graph = UnlabeledGraph(n, tuple(zip(lo.tolist(), hi.tolist())))
+    return graph, None if labels is None else list(map(tuple, labels.tolist()))
 
 
 def hypergraph_from_labeled_dump(text: str) -> Hypergraph:
     """The hypergraph whose incidence pairs are the dump's node labels."""
-    graph, labels = parse_line_expansion_dump(text)
+    _, labels, lo, hi = _read_dump(text)
     if labels is None:
         raise ParseError("dump is unlabeled", 1)
-    return hypergraph_from_labels(graph, labels)
+    return _hypergraph_from_label_arrays(labels, lo, hi)
 
 
 def hypergraph_from_labels(graph: UnlabeledGraph, labels: list[tuple[int, int]]) -> Hypergraph:
@@ -84,15 +145,28 @@ def hypergraph_from_labels(graph: UnlabeledGraph, labels: list[tuple[int, int]])
     the distinct edges must number ``size_formulas``: then they are exactly
     the line edges of the labels.
     """
-    h = back_project_labeled(LineExpansion(tuple(labels), 1.0, 1.0))
-    for i, j in graph.edges:
-        (v, e), (u, f) = labels[i], labels[j]
-        if v != u and e != f:
-            raise ParseError(f"edge ({i}, {j}) joins labels ({v}, {e}) and ({u}, {f})"
-                             ", which share neither vertex nor hyperedge")
+    edges = np.fromiter(chain.from_iterable(graph.edges), np.int64, 2 * len(graph.edges))
+    return _hypergraph_from_label_arrays(
+        np.array(labels, dtype=np.int64).reshape(-1, 2), edges[0::2], edges[1::2]
+    )
+
+
+def _hypergraph_from_label_arrays(
+    labels: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> Hypergraph:
+    """:func:`hypergraph_from_labels` on arrays: ``labels`` is (n, 2), and
+    edge k joins nodes ``lo[k]`` and ``hi[k]``."""
+    h = back_project_labeled(LineExpansion(tuple(map(tuple, labels.tolist())), 1.0, 1.0))
+    v_of, e_of = labels.T
+    unrelated = (v_of[lo] != v_of[hi]) & (e_of[lo] != e_of[hi])
+    if unrelated.any():
+        k = int(unrelated.argmax())
+        (v, e), (u, f) = labels[lo[k]].tolist(), labels[hi[k]].tolist()
+        raise ParseError(f"edge ({lo[k]}, {hi[k]}) joins labels ({v}, {e}) and ({u}, {f})"
+                         ", which share neither vertex nor hyperedge")
     expected = size_formulas(h)[1]
-    if len(graph.edges) != expected:
-        raise ParseError(f"{len(graph.edges)} distinct edges, but the labels have {expected}")
+    if len(lo) != expected:
+        raise ParseError(f"{len(lo)} distinct edges, but the labels have {expected}")
     return h
 
 

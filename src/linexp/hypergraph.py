@@ -6,6 +6,7 @@ same incidence relation. Instances are immutable after construction.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,23 +133,24 @@ def validate(h: Hypergraph) -> ValidationReport:
     return ValidationReport(not empty, empty, isolated, tuple(dups))
 
 
-def _read_header(text: str, fields: str) -> tuple[int, int, int, list[tuple[int, str]]]:
+def _read_header(text: str, fields: str) -> tuple[int, int, int, list[str], Sequence[int]]:
     """Split a text file into its content lines, skipping blank lines and
     ``#`` comments, and read the first as a header of two counts.
 
-    Returns the header's line number, both counts, and the remaining lines
-    as (line number, stripped text). ``fields`` names the two counts in the
-    error for a malformed header.
+    Returns the header's line number, both counts, the remaining lines
+    (stripped) and their line numbers. ``fields`` names the two counts in
+    the error for a malformed header.
     """
-    content = [
-        (i, stripped)
-        for i, raw in enumerate(text.splitlines(), start=1)
-        if (stripped := raw.strip()) and not stripped.startswith("#")
-    ]
-    if not content:
+    raw = text.splitlines()
+    lines = [s for s in map(str.strip, raw) if s and s[0] != "#"]
+    if len(lines) == len(raw):
+        numbers: Sequence[int] = range(1, len(raw) + 1)
+    else:
+        numbers = [i for i, s in enumerate(map(str.strip, raw), start=1) if s and s[0] != "#"]
+    if not lines:
         raise ParseError("missing header", 1)
-    line_no, header = content[0]
-    parts = header.split()
+    line_no = numbers[0]
+    parts = lines[0].split()
     if len(parts) != 2:
         raise ParseError(f"header must be '{fields}'", line_no)
     try:
@@ -157,7 +159,7 @@ def _read_header(text: str, fields: str) -> tuple[int, int, int, list[tuple[int,
         raise ParseError("non-integer header", line_no) from None
     if a < 0 or b < 0:
         raise ParseError("negative counts in header", line_no)
-    return line_no, a, b, content[1:]
+    return line_no, a, b, lines[1:], numbers[1:]
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -167,14 +169,14 @@ def parse_hypergraph(text: str) -> Hypergraph:
     with its space-separated 0-based vertex ids. Blank lines and ``#``
     comments are ignored. LF or CRLF.
     """
-    line_no, nv, ne, body = _read_header(text, "<num_vertices> <num_hyperedges>")
+    line_no, nv, ne, body, numbers = _read_header(text, "<num_vertices> <num_hyperedges>")
     if len(body) != ne:
         raise ParseError(
             f"expected {ne} hyperedge lines, found {len(body)}",
-            body[-1][0] if body else line_no,
+            numbers[-1] if body else line_no,
         )
     edges = []
-    for line_no, line in body:
+    for line_no, line in zip(numbers, body):
         try:
             verts = [int(tok) for tok in line.split()]
         except ValueError:

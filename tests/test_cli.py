@@ -19,6 +19,8 @@ from linexp.cli import main
 from conftest import WORKED_EXAMPLE_TEXT
 from test_expansions import messy_hypergraphs
 
+MIXED = "node lines must be all '? ?' or all '<v> <e>'"
+
 
 @pytest.fixture
 def worked_file(tmp_path):
@@ -381,6 +383,18 @@ class TestReconstruct:
             ("-1 0\n", "line 1: negative counts in header"),
             ("2 1\n0 0\n1 0\n0 x\n", "line 4: non-integer field"),
             ("2 1\n0 z\n1 0\n0 1\n", "line 2: non-integer field"),
+            ("2 1\n0 0\n? ?\n0 1\n", f"line 3: {MIXED}"),
+            ("2 1\n? ?\nx y\n0 1\n", f"line 3: {MIXED}"),
+            ("2 1\n? 5\n? ?\n0 1\n", f"line 2: {MIXED}"),
+            ("2 1\n? ?\n? ?\n1 ?\n", "line 4: non-integer field"),
+            ("2 1\n0 0\n1 0\n0 99999999999999999999\n",
+             "line 4: bad edge (0, 99999999999999999999)"),
+            ("2 1\n0 0\n99999999999999999999 0\n0 1\n",
+             "line 3: label (99999999999999999999, 0) does not fit in int64"),
+            ("2 1\n0 -9223372036854775808\n1 0\n0 1\n",
+             "line 2: negative label (0, -9223372036854775808)"),
+            ("2 1\n0 0\n1 0\n-9223372036854775808 1\n",
+             "line 4: bad edge (-9223372036854775808, 1)"),
         ],
     )
     def test_malformed_dump_is_parse_error(self, capsys, tmp_path, text,

@@ -285,6 +285,17 @@ class TestPairGroups:
         assert "edges" in vars(le)
         assert le == lx.line_expand(worked)
 
+    def test_pair_arrays_built_once_and_read_only(self, worked):
+        le = lx.line_expand(worked)
+        v_of, e_of = le.pair_arrays
+        assert all(a is b for a, b in zip(le.pair_arrays, (v_of, e_of)))
+        assert v_of.tolist() == [v for v, _ in le.nodes]
+        assert e_of.tolist() == [e for _, e in le.nodes]
+        for of in (v_of, e_of):
+            with pytest.raises(ValueError, match="read-only"):
+                of[0] = 1
+        assert le == lx.line_expand(worked)
+
     @settings(max_examples=150, deadline=None)
     @given(messy_hypergraphs())
     def test_edges_in_incidence_order(self, h):

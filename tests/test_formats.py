@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import linexp as lx
 from linexp import formats
-from linexp.hypergraph import ParseError
+from linexp.expansions import size_formulas
+from linexp.hypergraph import ParseError, _read_header
+from linexp.reconstruction import UnlabeledGraph, back_project_labeled
+
+from test_expansions import messy_hypergraphs
 
 # Node lines (0,1), (0,0), (1,0) as listed: (0,1)-(0,0) share vertex 0 and
 # (0,0)-(1,0) share hyperedge 0, while (0,1)-(1,0) share nothing.
@@ -58,6 +62,166 @@ class TestLabeledDump:
             + [f"{j} {i}" if data.draw(st.booleans()) else f"{i} {j}" for i, j in edges]
         ) + "\n"
         assert formats.hypergraph_from_labeled_dump(text) == expected
+
+
+def loop_parse(text):
+    """The line-by-line dump reader that the array reader replaced, kept as
+    the reference: (graph, labels) like ``parse_line_expansion_dump``."""
+    line_no, n, m, lines, numbers = _read_header(text, "<num_line_nodes> <num_edges>")
+    if len(lines) != n + m:
+        raise ParseError(f"expected {n} node lines and {m} edge lines", line_no)
+    labels = []
+    edges = []
+    try:
+        for line_no, ln in zip(numbers[:n], lines[:n]):
+            toks = ln.split()
+            if len(toks) != 2:
+                raise ParseError("node line must have two fields", line_no)
+            if toks[0] == "?":
+                labels = None
+            elif labels is not None:
+                v, e = int(toks[0]), int(toks[1])
+                if v < 0 or e < 0:
+                    raise ParseError(f"negative label ({v}, {e})", line_no)
+                labels.append((v, e))
+        for line_no, ln in zip(numbers[n:], lines[n:]):
+            toks = ln.split()
+            if len(toks) != 2:
+                raise ParseError("edge line must have two fields", line_no)
+            i, j = int(toks[0]), int(toks[1])
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ParseError(f"bad edge ({i}, {j})", line_no)
+            edges.append((i, j))
+    except ParseError:
+        raise
+    except ValueError:
+        raise ParseError("non-integer field", line_no) from None
+    return UnlabeledGraph.from_edges(n, edges), labels
+
+
+def loop_hypergraph(graph, labels):
+    """The per-edge label check that the array check replaced."""
+    h = back_project_labeled(lx.LineExpansion(tuple(labels), 1.0, 1.0))
+    for i, j in graph.edges:
+        (v, e), (u, f) = labels[i], labels[j]
+        if v != u and e != f:
+            raise ParseError(f"edge ({i}, {j}) joins labels ({v}, {e}) and ({u}, {f})"
+                             ", which share neither vertex nor hyperedge")
+    expected = size_formulas(h)[1]
+    if len(graph.edges) != expected:
+        raise ParseError(f"{len(graph.edges)} distinct edges, but the labels have {expected}")
+    return h
+
+
+def outcome(read, *args):
+    try:
+        return read(*args)
+    except lx.HypergraphError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+MIXED = "node lines must be all '? ?' or all '<v> <e>'"
+TOO_LARGE = 99999999999999999999
+FAULTS = ["drop", "duplicate", "swap", "token", "fields", "edge", "noise"]
+
+
+@st.composite
+def corrupted_dumps(draw):
+    """Rendered dumps, labeled or not, with up to three faults in the lines
+    below the header: a line dropped, duplicated or swapped, a token
+    replaced, added or dropped, an edge line made out of range or a
+    self-loop, or a comment or blank line put in. The header keeps its
+    counts or takes the edge count that the lines now make; LF or CRLF."""
+    le = lx.line_expand(draw(messy_hypergraphs()))
+    n = le.num_nodes
+    header, *lines = formats.render_line_expansion(le, labeled=draw(st.booleans())).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(FAULTS))
+        if fault == "drop":
+            del lines[k]
+        elif fault == "duplicate":
+            lines.insert(k, lines[k])
+        elif fault == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif fault == "token" and lines[k].split():
+            toks = lines[k].split()
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(
+                st.sampled_from(["x", "-1", "?", str(TOO_LARGE)])
+            )
+            lines[k] = " ".join(toks)
+        elif fault == "fields":
+            lines[k] = draw(st.sampled_from([lines[k] + " 0", lines[k].rpartition(" ")[0]]))
+        elif fault == "edge":
+            i = draw(st.integers(0, n))
+            lines[k] = draw(st.sampled_from([f"{i} {i}", f"{i} {n}"]))
+        elif fault == "noise":
+            lines.insert(k, draw(st.sampled_from(["# comment", "", "  \t"])))
+    content = sum(1 for ln in lines if ln.strip() and not ln.strip().startswith("#"))
+    if content >= n and draw(st.booleans()):
+        header = f"{n} {content - n}"
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join([header] + lines) + sep
+
+
+def node_lines_break_new_rules(text):
+    """Whether the node lines, as the line loop reads them, mix "? ?" and
+    labels (or hold a lone "?") or carry a label beyond int64. The line
+    loop read the first as unlabeled; it accepted the second and then
+    allocated that many vertices, so the reference stops there."""
+    try:
+        _, n, _, lines, _ = _read_header(text, "")
+    except ParseError:
+        return False
+    toks = [tok for ln in lines[:n] for tok in ln.split()]
+    mixed = "?" in toks and toks.count("?") != len(toks)
+    return mixed or any(tok.lstrip("-").isdigit() and int(tok) >= 1 << 63 for tok in toks)
+
+
+class TestArrayReader:
+    @settings(max_examples=400, deadline=None)
+    @given(corrupted_dumps())
+    def test_matches_line_loop(self, text):
+        """Same graph, labels and hypergraph as the line loop, or the same
+        error text, except where the node lines break the all-or-none "?"
+        rule or the int64 range, which the line loop did not enforce."""
+        parsed = outcome(formats.parse_line_expansion_dump, text)
+        read = outcome(formats.hypergraph_from_labeled_dump, text)
+        loop_parsed = outcome(loop_parse, text)
+        if node_lines_break_new_rules(text):
+            for got in (parsed, read):
+                assert isinstance(got, str)
+                assert got == loop_parsed or got.endswith((MIXED, "does not fit in int64")), got
+            return
+        if isinstance(loop_parsed, str):
+            loop_read = loop_parsed
+        elif loop_parsed[1] is None:
+            loop_read = "ParseError: line 1: dump is unlabeled"
+        else:
+            loop_read = outcome(loop_hypergraph, *loop_parsed)
+        assert parsed == loop_parsed
+        assert read == loop_read
+        if not isinstance(read, str):
+            assert outcome(formats.hypergraph_from_labels, *parsed) == read
+
+    def test_large_dump_reads_back(self):
+        """A few thousand line nodes, as rendered and with the node lines
+        shuffled and every edge line reversed."""
+        h = lx.random_hypergraph(2000, 800, 0.003, 7)
+        le = lx.line_expand(h)
+        assert le.num_nodes > 4000 and le.num_edges > 20000
+        text = formats.render_line_expansion(le)
+        assert formats.hypergraph_from_labeled_dump(text) == h
+        perm = np.random.default_rng(7).permutation(le.num_nodes)  # new line of node i
+        nodes = [None] * le.num_nodes
+        for i, (v, e) in enumerate(le.nodes):
+            nodes[perm[i]] = f"{v} {e}"
+        edges = [f"{perm[j]} {perm[i]}" for i, j, _ in le.edges]
+        shuffled = "\n".join([f"{le.num_nodes} {le.num_edges}"] + nodes + edges) + "\n"
+        assert formats.hypergraph_from_labeled_dump(shuffled) == h
 
 
 def write(tmp_path, name, text):
