@@ -42,22 +42,30 @@ def _read_hypergraph(path: str) -> Hypergraph:
         return parse_hypergraph(f.read())
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """argparse type for ints of at least ``low``, named ``kind`` in the
+    error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def cmd_expand(args) -> int:
     h = _read_hypergraph(args.input)
     if args.mode == "line":
-        le = line_expand(h, args.wv, args.we)
-        text = formats.render_line_expansion(le, labeled=not args.unlabeled)
+        text = formats.render_line_expansion(line_expand(h), labeled=not args.unlabeled)
     else:
         adj = (
             clique_adjacency(h)
@@ -195,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--unlabeled", action="store_true")
-    p.add_argument("--wv", type=float, default=1.0)
-    p.add_argument("--we", type=float, default=1.0)
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("stats", help="size and density table")
@@ -208,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--input")
     p.add_argument("--trials", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_nonnegative_int, default=1)
     p.add_argument("--reconstruct", action="store_true")
     p.add_argument("--json")
     p.set_defaults(func=cmd_verify)
@@ -220,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", required=True)
     p.add_argument("--config")
     p.add_argument("--epochs", type=_positive_int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_nonnegative_int)
     p.add_argument("--out", default="train_report.json")
     p.set_defaults(func=cmd_train)
 

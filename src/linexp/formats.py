@@ -40,7 +40,7 @@ def _read_dump(text: str) -> tuple[int, np.ndarray | None, np.ndarray, np.ndarra
     node lines are "? ?"), and the distinct edges (i < j), ascending, as the
     arrays of their i and of their j. Fields are base-10 int64. Whole-array
     checks decide whether any line is faulty; only then does
-    :func:`_first_fault` find the first faulty line, from per-line masks.
+    :func:`_first_fault` walk the lines to find the first faulty one.
     """
     header, n, m, lines, numbers = _read_header(text, "<num_line_nodes> <num_edges>")
     if len(lines) != n + m:
@@ -72,52 +72,30 @@ def _first_fault(lines: list[str], numbers: Sequence[int], n: int) -> ParseError
     """The error for the first faulty line of a dump body whose first ``n``
     lines are node lines, with the first of that line's faults in this
     order: field count, then "?", then integer, then range. Node lines must
-    be all "? ?" or all "<v> <e>"."""
-    two = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines)) == 2
-    checked = len(lines) if two.all() else int(two.argmin())
-    # The lines before ``checked`` hold tokens 2k and 2k + 1.
-    tokens = " ".join(lines[:checked]).split()
-    nodes = min(n, checked)
-    is_q = np.array([tok == "?" for tok in tokens[:2 * nodes]], dtype=bool).reshape(-1, 2)
-    unlabeled = nodes > 0 and bool(is_q[0].all())
-    first = nodes if unlabeled else 0  # the first line of integers
-    ints = list(map(_int_or_none, tokens[2 * first:]))
-    fits = [x is not None and -(1 << 63) <= x < 1 << 63 for x in ints]
-    not_int = np.array([x is None for x in ints], dtype=bool).reshape(-1, 2)
-    too_large = ~np.array(fits, dtype=bool).reshape(-1, 2) & ~not_int
-    pairs = np.array([x if ok else 0 for x, ok in zip(ints, fits)], dtype=np.int64).reshape(-1, 2)
-    edges = pairs[n - first:]
-
-    bad_q = ~is_q.all(axis=1) if unlabeled else is_q.any(axis=1)
-    bad_int = np.zeros(checked, dtype=bool)
-    bad_int[first:] = not_int.any(axis=1)
-    out_of_range = np.zeros(checked, dtype=bool)
-    out_of_range[first:n] = (pairs[:n - first] < 0).any(axis=1)
-    out_of_range[n:] = ((edges < 0) | (edges >= n)).any(axis=1) | (edges[:, 0] == edges[:, 1])
-    out_of_range[first:] |= too_large.any(axis=1)
-    bad = bad_int | out_of_range
-    bad[:nodes] |= bad_q
-    if not bad.any():
-        kind = "node" if checked < n else "edge"
-        return ParseError(f"{kind} line must have two fields", numbers[checked])
-    k = int(bad.argmax())
-    if k < nodes and bad_q[k]:
-        return ParseError("node lines must be all '? ?' or all '<v> <e>'", numbers[k])
-    if bad_int[k]:
-        return ParseError("non-integer field", numbers[k])
-    a, b = (int(tok) for tok in lines[k].split())
-    if k >= n:
-        return ParseError(f"bad edge ({a}, {b})", numbers[k])
-    if a < 0 or b < 0:
-        return ParseError(f"negative label ({a}, {b})", numbers[k])
-    return ParseError(f"label ({a}, {b}) does not fit in int64", numbers[k])
-
-
-def _int_or_none(tok: str) -> int | None:
-    try:
-        return int(tok)
-    except ValueError:
-        return None
+    be all "? ?" or all "<v> <e>", as the first one sets."""
+    unlabeled = False
+    for k, (line, line_no) in enumerate(zip(lines, numbers)):
+        toks = line.split()
+        if len(toks) != 2:
+            return ParseError(f"{'node' if k < n else 'edge'} line must have two fields", line_no)
+        if k < n:
+            if k == 0:
+                unlabeled = toks == ["?", "?"]
+            if (toks != ["?", "?"]) if unlabeled else ("?" in toks):
+                return ParseError("node lines must be all '? ?' or all '<v> <e>'", line_no)
+            if unlabeled:
+                continue
+        try:
+            a, b = int(toks[0]), int(toks[1])
+        except ValueError:
+            return ParseError("non-integer field", line_no)
+        if k >= n:
+            if not (0 <= a < n and 0 <= b < n) or a == b:
+                return ParseError(f"bad edge ({a}, {b})", line_no)
+        elif a < 0 or b < 0:
+            return ParseError(f"negative label ({a}, {b})", line_no)
+        elif max(a, b) >= 1 << 63:
+            return ParseError(f"label ({a}, {b}) does not fit in int64", line_no)
 
 
 def parse_line_expansion_dump(

@@ -52,26 +52,6 @@ class UnlabeledGraph:
             adj[j].add(i)
         return adj
 
-    def components(self) -> list[list[int]]:
-        adj = self.adjacency_sets()
-        seen = [False] * self.num_nodes
-        comps = []
-        for start in range(self.num_nodes):
-            if seen[start]:
-                continue
-            comp = []
-            queue = deque([start])
-            seen[start] = True
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
-
 
 @dataclass(frozen=True)
 class CliqueCover:
@@ -92,7 +72,10 @@ class ReconstructionResult:
 
 
 def strip_labels(le: LineExpansion) -> UnlabeledGraph:
-    return UnlabeledGraph.from_edges(le.num_nodes, [(i, j) for i, j, _ in le.edges])
+    """The line expansion's topology. ``le.edges`` are built with i < j and,
+    the line nodes being distinct, without repeats, so they only need
+    sorting."""
+    return UnlabeledGraph(le.num_nodes, tuple(sorted((i, j) for i, j, _ in le.edges)))
 
 
 def back_project_labeled(

@@ -123,13 +123,24 @@ def check_unlabeled_round_trip(h: Hypergraph) -> CheckResult:
 
 
 def is_connected(h: Hypergraph) -> bool:
-    if h.num_pairs == 0:
-        return h.num_vertices <= 1
-    g = strip_labels(line_expand(h, 1.0, 1.0))
-    comps = g.components()
-    return len(comps) == 1 and h.num_vertices == sum(
-        1 for v in range(h.num_vertices) if h.vertex_edges(v)
-    )
+    """Whether a breadth-first search from vertex 0 over the incidence
+    reaches every vertex. So any isolated vertex disconnects h, empty
+    hyperedges are ignored, and h with no incidence pair is connected iff it
+    has at most one vertex."""
+    if h.num_vertices == 0:
+        return True
+    reached = [True] + [False] * (h.num_vertices - 1)
+    crossed = [False] * h.num_hyperedges
+    queue = [0]
+    for v in queue:
+        for e in h.vertex_edges(v):
+            if not crossed[e]:
+                crossed[e] = True
+                for u in h.edges[e]:
+                    if not reached[u]:
+                        reached[u] = True
+                        queue.append(u)
+    return len(queue) == h.num_vertices
 
 
 def random_connected_hypergraph(

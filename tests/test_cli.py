@@ -109,6 +109,15 @@ class TestExpand:
                   "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--wv", "--we"])
+    def test_weight_flag_is_usage_error(self, capsys, tmp_path, worked_file, flag):
+        """A dump carries no weights, so expand takes none."""
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--mode", "line", "--input", str(worked_file),
+                  "--out", str(tmp_path / "o"), flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
 
 class TestStats:
     def test_table(self, capsys, worked_file):
@@ -176,6 +185,12 @@ class TestVerify:
             main(["verify", "--trials", value])
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -268,6 +283,7 @@ class TestTrain:
             ("config", "activation = leaky-relu\nleaky_slope = -1\n",
              "line 2: leaky_slope must not be negative, got -1.0"),
             ("config", "w_v = 0\nw_e = 0\n", "line 2: w_v and w_e must not both be zero"),
+            ("config", "seed = -3\n", "line 1: seed must not be negative, got -3"),
         ],
     )
     def test_bad_input_is_parse_error(self, capsys, tmp_path, kind, text, message):
@@ -327,6 +343,12 @@ class TestTrain:
             self.run_with(tmp_path, extra=("--epochs", value))
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self.run_with(tmp_path, extra=("--seed", "-1"))
+        assert exc.value.code == 2
+        assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_invalid_hypergraph_fails_check(self, tmp_path):
         hg = tmp_path / "bad.hg"

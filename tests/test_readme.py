@@ -1,7 +1,11 @@
-"""The README's example runs and shows the values its comments state."""
+"""The README's example runs and shows the values its comments state, and
+its CLI block lists every subcommand's flags."""
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from linexp.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +25,22 @@ def test_readme_example_shows_its_commented_values():
     assert [value for value, _ in shown] == [(8, 10), True]
     for value, comment in shown:
         assert comment.startswith(repr(value))
+
+
+def test_readme_cli_block_lists_each_subcommands_flags():
+    block = re.search(r"## CLI\n\n```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)[1]
+    documented: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("linexp "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    defined = {
+        name: {opt for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == defined

@@ -7,8 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linexp as lx
-from linexp.reconstruction import dual_hypergraph, strip_labels
+from linexp.reconstruction import UnlabeledGraph, dual_hypergraph, strip_labels
 from linexp.verify import random_connected_hypergraph
+
+from test_expansions import messy_hypergraphs
+
+
+@settings(max_examples=150, deadline=None)
+@given(messy_hypergraphs())
+def test_strip_labels_keeps_the_line_edges_as_built(h):
+    """le.edges is already canonical: each i < j, none repeated."""
+    le = lx.line_expand(h)
+    expected = UnlabeledGraph.from_edges(le.num_nodes, [(i, j) for i, j, _ in le.edges])
+    assert strip_labels(le) == expected
 
 
 class TestBackProjectLabeled:

@@ -1,7 +1,9 @@
 import re
 
+import networkx as nx
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import linexp as lx
 from linexp import verify
@@ -111,3 +113,27 @@ def test_exactly_four_checks_report_every_instance(trials):
     assert all(r.passed for r in results), results
     covering = [r.name for r in results if r.detail == f"{trials} instance(s)"]
     assert covering == COVERING_CHECKS
+
+
+@st.composite
+def hypergraphs_with_gaps(draw):
+    """0 to 9 vertices, some isolated, and up to 8 hyperedges, some empty."""
+    nv = draw(st.integers(0, 9))
+    edge = st.sets(st.integers(0, nv - 1)).map(lambda vs: tuple(sorted(vs))) if nv else st.just(())
+    return lx.Hypergraph(nv, tuple(draw(st.lists(edge, max_size=8))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(hypergraphs_with_gaps())
+def test_is_connected_matches_star_graph_oracle(h):
+    """With no incidence pair, connected iff at most one vertex; otherwise
+    iff the star graph over all vertices and the non-empty hyperedges is
+    connected, so an isolated vertex disconnects."""
+    if h.num_pairs == 0:
+        expected = h.num_vertices <= 1
+    else:
+        g = nx.Graph()
+        g.add_nodes_from(("v", v) for v in range(h.num_vertices))
+        g.add_edges_from((("v", v), ("e", e)) for e, verts in enumerate(h.edges) for v in verts)
+        expected = nx.is_connected(g)
+    assert verify.is_connected(h) == expected
