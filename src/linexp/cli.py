@@ -25,10 +25,7 @@ from .hypergraph import (
     vertex_degrees,
 )
 from .learn import TrainConfig, TrainingError, train
-from .reconstruction import (
-    NotALineExpansionError,
-    krausz_reconstruct,
-)
+from .reconstruction import NotALineExpansionError, UnlabeledGraph, krausz_reconstruct
 from .unify import graph_as_hypergraph
 from .verify import run_verification
 
@@ -175,14 +172,14 @@ def cmd_train(args) -> int:
 def cmd_reconstruct(args) -> int:
     with open(args.input, encoding="utf-8") as f:
         text = f.read()
-    graph, labels = formats.parse_line_expansion_dump(text)
+    n, labels, lo, hi = formats._read_dump(text)
     if labels is not None:
-        h = formats.hypergraph_from_labels(graph, labels)
+        h = formats._hypergraph_from_label_arrays(labels, lo, hi)
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(render_hypergraph(h))
         return EXIT_OK
     try:
-        result = krausz_reconstruct(graph)
+        result = krausz_reconstruct(UnlabeledGraph(n, tuple(zip(lo.tolist(), hi.tolist()))))
     except NotALineExpansionError as exc:
         print(f"not a line expansion: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

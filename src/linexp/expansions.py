@@ -177,10 +177,7 @@ class FactoredOperator:
         # columns keep the row-sum order of matrix @ h fixed.
         a_tilde = self.w_e * (self.p_v @ self.p_v.T) + self.w_v * (self.p_e @ self.p_e.T)
         a_tilde.sort_indices()
-        d = self.d_inv_sqrt
-        entry_rows = np.repeat(np.arange(len(d)), np.diff(a_tilde.indptr))
-        a_tilde.data = d[entry_rows] * a_tilde.data * d[a_tilde.indices]
-        return a_tilde
+        return _scale_symmetric(a_tilde, self.d_inv_sqrt)
 
 
 def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpansion:
@@ -285,11 +282,18 @@ def renormalized_operator(le: LineExpansion) -> FactoredOperator:
     )
 
 
+def _scale_symmetric(a: sp.csr_array, d: np.ndarray) -> sp.csr_array:
+    """diag(d) a diag(d), computed on the stored entries as
+    d[row] * a * d[col]. ``a`` is not changed; the result shares its index
+    arrays."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return sp.csr_array((d[rows] * a.data * d[a.indices], a.indices, a.indptr), shape=a.shape)
+
+
 def _symmetric_normalize(w: sp.csr_array, deg: np.ndarray) -> sp.csr_array:
     """deg^{-1/2} w deg^{-1/2}, with zero rows and columns where deg = 0."""
     inv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    scale = sp.diags_array(inv, format="csr")
-    return sp.csr_array(scale @ w @ scale)
+    return _scale_symmetric(w, inv)
 
 
 def clique_adjacency(h: Hypergraph) -> sp.csr_array:

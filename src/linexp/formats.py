@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections.abc import Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -115,25 +114,16 @@ def hypergraph_from_labeled_dump(text: str) -> Hypergraph:
     return _hypergraph_from_label_arrays(labels, lo, hi)
 
 
-def hypergraph_from_labels(graph: UnlabeledGraph, labels: list[tuple[int, int]]) -> Hypergraph:
-    """The hypergraph whose incidence pairs are ``labels``, the node labels
-    of a parsed dump whose topology is ``graph``.
+def _hypergraph_from_label_arrays(
+    labels: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> Hypergraph:
+    """The hypergraph whose incidence pairs are ``labels``, the (n, 2) node
+    labels of a read dump whose edge k joins nodes ``lo[k]`` and ``hi[k]``.
 
     Each edge must join two labels that share a vertex or a hyperedge, and
     the distinct edges must number ``size_formulas``: then they are exactly
     the line edges of the labels.
     """
-    edges = np.fromiter(chain.from_iterable(graph.edges), np.int64, 2 * len(graph.edges))
-    return _hypergraph_from_label_arrays(
-        np.array(labels, dtype=np.int64).reshape(-1, 2), edges[0::2], edges[1::2]
-    )
-
-
-def _hypergraph_from_label_arrays(
-    labels: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> Hypergraph:
-    """:func:`hypergraph_from_labels` on arrays: ``labels`` is (n, 2), and
-    edge k joins nodes ``lo[k]`` and ``hi[k]``."""
     h = back_project_labeled(LineExpansion(tuple(map(tuple, labels.tolist())), 1.0, 1.0))
     v_of, e_of = labels.T
     unrelated = (v_of[lo] != v_of[hi]) & (e_of[lo] != e_of[hi])
@@ -161,7 +151,8 @@ def load_features(path: str) -> np.ndarray:
 
 
 def load_labels(path: str, num_vertices: int) -> np.ndarray:
-    """Text lines "<vertex_id> <class_id>"; unlisted vertices get -1."""
+    """Text lines "<vertex_id> <class_id>", both in 0..num_vertices-1 (there
+    are no more classes than vertices); unlisted vertices get -1."""
     labels = np.full(num_vertices, -1, dtype=np.int64)
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
@@ -174,6 +165,8 @@ def load_labels(path: str, num_vertices: int) -> np.ndarray:
                 raise ParseError("label line must be '<vertex_id> <class_id>'", i) from None
             if not 0 <= v < num_vertices:
                 raise ParseError(f"vertex id {v} out of range for {num_vertices} vertices", i)
+            if not 0 <= c < num_vertices:
+                raise ParseError(f"class id {c} out of range for {num_vertices} vertices", i)
             labels[v] = c
     return labels
 

@@ -32,6 +32,7 @@ from .expansions import (
     LineExpansion,
     NormalizedOperator,
     ProjectionSet,
+    _scale_symmetric,
     line_expand,
     projections,
     renormalized_operator,
@@ -458,9 +459,7 @@ def sampled_operator(
     )
     a_tilde.sort_indices()
     d = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    entry_rows = np.repeat(nodes, np.diff(a_tilde.indptr))
-    a_tilde.data = d[entry_rows] * a_tilde.data * d[a_tilde.indices]
-    return NormalizedOperator(a_tilde, le.w_v, le.w_e, s)
+    return NormalizedOperator(_scale_symmetric(a_tilde, d), le.w_v, le.w_e, s)
 
 
 def train(

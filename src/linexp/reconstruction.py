@@ -7,7 +7,10 @@ expansion, so each edge lies in exactly one clique (its two ends and their
 common neighbors), one per vertex or hyperedge. One pass over the edges
 builds these cliques; every node then lies in at most two, and size-1
 cliques pad it to exactly two. The cliques are 2-colored into a vertex side
-and a hyperedge side, and both dual candidates are emitted.
+and a hyperedge side. That gives one candidate; the other is its dual, as a
+hypergraph and its dual share an unlabeled line expansion. Back-projection,
+the cover and the dual all assemble their hypergraph from its incidence pairs
+in :func:`_hypergraph_from_pairs`.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .expansions import LineExpansion, pair_groups
+from .expansions import LineExpansion
 from .hypergraph import Hypergraph, HypergraphError, hyperedge_degrees, vertex_degrees
 
 MAX_KRAUSZ_NODES = 64
@@ -64,8 +67,9 @@ class CliqueCover:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Both dual candidates (a hypergraph and its dual share an unlabeled
-    line expansion) plus the cover that produced them."""
+    """Both candidates, the second the dual of the first (a hypergraph and
+    its dual share an unlabeled line expansion), plus the cover that
+    produced them."""
 
     candidates: tuple[Hypergraph, Hypergraph]
     cover: CliqueCover
@@ -101,22 +105,30 @@ def back_project_labeled(
         if num_hyperedges < ne:
             raise HypergraphError("num_hyperedges smaller than labels require")
         ne = num_hyperedges
-    _, by_edge = pair_groups(pairs)
-    members = tuple(tuple(sorted(pairs[i][0] for i in ids)) for ids in by_edge)
-    return Hypergraph(nv, members + ((),) * (ne - len(members)))
+    return _hypergraph_from_pairs(nv, ne, pairs)
 
 
-def _two_color(cliques: list[frozenset[int]], node_cliques: list[list[int]]):
+def _hypergraph_from_pairs(num_vertices: int, num_hyperedges: int, pairs) -> Hypergraph:
+    """The hypergraph whose incidence pairs are the (vertex, hyperedge)
+    ``pairs``, each hyperedge's members sorted."""
+    members: list[list[int]] = [[] for _ in range(num_hyperedges)]
+    for v, e in pairs:
+        members[e].append(v)
+    return Hypergraph(num_vertices, tuple(tuple(sorted(m)) for m in members))
+
+
+def _two_color(num_cliques: int, node_cliques: list[list[int]]):
     """2-color cliques so the two cliques at every node differ; None if
     impossible. Color 0 is assigned to the lowest-indexed clique of each
     clique-graph component."""
-    color = [-1] * len(cliques)
-    adj: list[set[int]] = [set() for _ in cliques]
-    for cl_ids in node_cliques:
-        for a, b in itertools.combinations(cl_ids, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    for start in range(len(cliques)):
+    color = [-1] * num_cliques
+    # Two cliques are adjacent iff they share a node. They share at most
+    # one, as an edge lies in one clique only, so no adjacency repeats.
+    adj: list[list[int]] = [[] for _ in range(num_cliques)]
+    for a, b in node_cliques:
+        adj[a].append(b)
+        adj[b].append(a)
+    for start in range(num_cliques):
         if color[start] != -1:
             continue
         color[start] = 0
@@ -142,7 +154,8 @@ def krausz_reconstruct(g: UnlabeledGraph) -> ReconstructionResult:
     than two are padded with size-1 cliques in node order. The graph is
     rejected with ``NotALineExpansionError`` when such a set is not a clique
     or repeats a covered edge, a node lies in more than two cliques, or the
-    cliques cannot be 2-colored.
+    cliques cannot be 2-colored. The first candidate takes the color-0
+    cliques as its vertices; the second is its dual.
 
     The candidates are guaranteed for connected inputs only. Every component
     gives color 0 to the clique of its smallest edge, so on a disconnected
@@ -176,39 +189,33 @@ def krausz_reconstruct(g: UnlabeledGraph) -> ReconstructionResult:
         while len(node_cliques[x]) < 2:
             cliques.append(frozenset([x]))
             node_cliques[x].append(len(cliques) - 1)
-    color = _two_color(cliques, node_cliques)
+    color = _two_color(len(cliques), node_cliques)
     if color is None:
         raise NotALineExpansionError("the cliques cannot be split into vertices and hyperedges")
     cover = CliqueCover(tuple(cliques), tuple((a, b) for a, b in node_cliques))
-    h_a = _hypergraph_from_cover(cliques, node_cliques, color, side=0)
-    h_b = _hypergraph_from_cover(cliques, node_cliques, color, side=1)
-    return ReconstructionResult((h_a, h_b), cover)
+    h = _hypergraph_from_cover(cliques, node_cliques, color)
+    return ReconstructionResult((h, dual_hypergraph(h)), cover)
 
 
-def _hypergraph_from_cover(cliques, node_cliques, color, side: int) -> Hypergraph:
-    """Cliques of the chosen color become vertices, the rest hyperedges;
-    each graph node contributes one incidence pair."""
+def _hypergraph_from_cover(cliques, node_cliques, color) -> Hypergraph:
+    """Cliques of color 0 become vertices, the rest hyperedges, each side
+    numbered in the order of the cliques' sorted members; each graph node
+    contributes one incidence pair."""
     order = sorted(range(len(cliques)), key=lambda k: sorted(cliques[k]))
-    v_ids = {k: i for i, k in enumerate(q for q in order if color[q] == side)}
-    e_ids = {k: i for i, k in enumerate(q for q in order if color[q] != side)}
-    members: list[set[int]] = [set() for _ in range(len(e_ids))]
+    v_ids, e_ids = ({k: i for i, k in enumerate(q for q in order if color[q] == c)}
+                    for c in (0, 1))
+    pairs = []
     for a, b in node_cliques:
-        if color[a] == side:
-            vk, ek = a, b
-        else:
-            vk, ek = b, a
-        members[e_ids[ek]].add(v_ids[vk])
-    return Hypergraph(
-        len(v_ids), tuple(tuple(sorted(m)) for m in members)
-    )
+        if color[a]:
+            a, b = b, a
+        pairs.append((v_ids[a], e_ids[b]))
+    return _hypergraph_from_pairs(len(v_ids), len(e_ids), pairs)
 
 
 def dual_hypergraph(h: Hypergraph) -> Hypergraph:
     """Swap the roles of vertices and hyperedges (transpose the incidence)."""
-    members: list[list[int]] = [[] for _ in range(h.num_vertices)]
-    for v, e in h.pairs():
-        members[v].append(e)
-    return Hypergraph(h.num_hyperedges, tuple(tuple(sorted(m)) for m in members))
+    return _hypergraph_from_pairs(h.num_hyperedges, h.num_vertices,
+                                  ((e, v) for v, e in h.pairs()))
 
 
 def hypergraph_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:

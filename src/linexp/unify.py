@@ -126,7 +126,7 @@ def _max_abs_diff(
 
 
 def check_star_equivalence(
-    h: Hypergraph, tol: float = DEFAULT_TOL, seed: int | None = None
+    h: Hypergraph, seed: int | None = None
 ) -> EquivalenceReport:
     """Degraded LE vs the weighted-degree star adjacency, elementwise."""
     if not validate(h).ok:
@@ -137,7 +137,7 @@ def check_star_equivalence(
         "degraded-line-expansion",
         "star-adjacency(weighted-degree)",
         _max_abs_diff(lhs, rhs),
-        tol,
+        DEFAULT_TOL,
         h.num_vertices,
         h.num_hyperedges,
         seed,
@@ -145,7 +145,7 @@ def check_star_equivalence(
 
 
 def check_simple_graph_factor(
-    g: UnlabeledGraph, tol: float = DEFAULT_TOL, seed: int | None = None
+    g: UnlabeledGraph, seed: int | None = None
 ) -> EquivalenceReport:
     """Degraded LE of the 2-regular hypergraph vs half the GCN adjacency.
 
@@ -161,7 +161,7 @@ def check_simple_graph_factor(
         "degraded-line-expansion(2-regular)",
         "gcn-adjacency/2",
         _max_abs_diff(lhs, rhs, skip_diagonal=True),
-        tol,
+        DEFAULT_TOL,
         g.num_nodes,
         len(g.edges),
         seed,

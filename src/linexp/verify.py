@@ -36,11 +36,7 @@ from .reconstruction import (
     krausz_reconstruct,
     strip_labels,
 )
-from .unify import (
-    DEFAULT_TOL,
-    check_simple_graph_factor,
-    check_star_equivalence,
-)
+from .unify import check_simple_graph_factor, check_star_equivalence
 from .reconstruction import UnlabeledGraph
 
 
@@ -143,13 +139,11 @@ def is_connected(h: Hypergraph) -> bool:
     return len(queue) == h.num_vertices
 
 
-def random_connected_hypergraph(
-    nv: int, ne: int, p: float, seed: int, attempts: int = 500
-) -> Hypergraph:
-    """Sample until connected; isolated vertices are first repaired by
-    inserting them into a random hyperedge."""
+def random_connected_hypergraph(nv: int, ne: int, p: float, seed: int) -> Hypergraph:
+    """Sample until connected, up to 500 times; isolated vertices are first
+    repaired by inserting them into a random hyperedge."""
     rng = np.random.default_rng(seed)
-    for k in range(attempts):
+    for k in range(500):
         h = random_hypergraph(nv, ne, p, seed + 1000003 * k)
         if h.num_hyperedges:
             edges = [set(e) for e in h.edges]
@@ -192,11 +186,11 @@ def _first_failure(
     return CheckResult(name, True, pass_detail)
 
 
-def _reported(check: Callable, tol: float) -> Callable:
-    """A :mod:`linexp.unify` check at ``tol``, its report as the detail."""
+def _reported(check: Callable) -> Callable:
+    """A :mod:`linexp.unify` check, its report as the detail."""
 
     def run(instance) -> CheckResult:
-        report = check(instance, tol)
+        report = check(instance)
         return CheckResult(report.lhs, report.passed, str(report))
 
     return run
@@ -207,7 +201,6 @@ def run_verification(
     seed: int = 1,
     reconstruct: bool = False,
     hypergraph: Hypergraph | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> list[CheckResult]:
     """The full property suite; generates a corpus when no input is given."""
     if hypergraph is not None:
@@ -236,7 +229,7 @@ def run_verification(
     no_isolated = [
         (h, s) for h, s in corpus if all(h.vertex_edges(v) for v in range(h.num_vertices))
     ]
-    star = _reported(check_star_equivalence, tol)
+    star = _reported(check_star_equivalence)
     results.append(_first_failure("star-equivalence", no_isolated, star))
 
     if hypergraph is None:
@@ -245,7 +238,7 @@ def run_verification(
         for t in range(min(trials, 50)):
             n, p = int(rng2.integers(2, 30)), float(rng2.uniform(0.05, 0.4))
             graphs.append((random_connected_graph(n, p, seed + t), seed + t))
-        factor = _reported(check_simple_graph_factor, tol)
+        factor = _reported(check_simple_graph_factor)
         results.append(_first_failure("simple-graph-factor", graphs, factor))
 
     if reconstruct:
@@ -255,7 +248,7 @@ def run_verification(
             if h.num_vertices <= 8 and h.num_hyperedges <= 6 and is_connected(h)
         ]
         if hypergraph is not None and not small:
-            small = [(h, s) for h, s in corpus if line_expand(h).num_nodes <= MAX_KRAUSZ_NODES]
+            small = [(h, s) for h, s in corpus if h.num_pairs <= MAX_KRAUSZ_NODES]
         results.append(
             _first_failure("unlabeled-round-trip", small, check_unlabeled_round_trip,
                            f"{len(small)} instance(s)")

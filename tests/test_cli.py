@@ -267,6 +267,9 @@ class TestTrain:
             ("labels", "0 0\n99 1\n", "line 2: vertex id 99 out of range for 12 vertices"),
             ("labels", "-1 1\n", "line 1: vertex id -1 out of range for 12 vertices"),
             ("labels", "0 0 0\n", "line 1: label line must be '<vertex_id> <class_id>'"),
+            ("labels", "2 -3\n", "line 1: class id -3 out of range for 12 vertices"),
+            ("labels", "2 1000000000000\n",
+             "line 1: class id 1000000000000 out of range for 12 vertices"),
             ("splits", '{"train": [0], "test": [99]}',
              "split 'test' must list vertex ids in 0..11"),
             ("splits", '{"train": [0], "test": [-1]}',
@@ -432,13 +435,13 @@ class TestReconstruct:
         le_dump = tmp_path / "le.txt"
         main(["expand", "--mode", "line", "--input", str(worked_file),
               "--out", str(le_dump)])
-        parse, calls = formats.parse_line_expansion_dump, []
+        read, calls = formats._read_dump, []
 
-        def counting_parse(text):
+        def counting_read(text):
             calls.append(text)
-            return parse(text)
+            return read(text)
 
-        monkeypatch.setattr(formats, "parse_line_expansion_dump", counting_parse)
+        monkeypatch.setattr(formats, "_read_dump", counting_read)
         assert main(["reconstruct", "--input", str(le_dump),
                      "--out", str(tmp_path / "back.hg")]) == 0
         assert len(calls) == 1

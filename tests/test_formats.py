@@ -204,8 +204,6 @@ class TestArrayReader:
             loop_read = outcome(loop_hypergraph, *loop_parsed)
         assert parsed == loop_parsed
         assert read == loop_read
-        if not isinstance(read, str):
-            assert outcome(formats.hypergraph_from_labels, *parsed) == read
 
     def test_large_dump_reads_back(self):
         """A few thousand line nodes, as rendered and with the node lines
@@ -243,6 +241,11 @@ class TestLoadLabels:
             ("0 1 2\n", "line 1: label line must be '<vertex_id> <class_id>'"),
             ("0\n", "line 1: label line must be '<vertex_id> <class_id>'"),
             ("0 x\n", "line 1: label line must be '<vertex_id> <class_id>'"),
+            ("2 -3\n", "line 1: class id -3 out of range for 5 vertices"),
+            ("0 1\n2 -1\n", "line 2: class id -1 out of range for 5 vertices"),
+            ("2 5\n", "line 1: class id 5 out of range for 5 vertices"),
+            ("2 1000000000000\n",
+             "line 1: class id 1000000000000 out of range for 5 vertices"),
         ],
     )
     def test_bad_line_rejected(self, tmp_path, text, message):

@@ -50,6 +50,18 @@ class TestBackProjectLabeled:
         assert lx.back_project_labeled(le, 3, 4) == h
         assert lx.back_project_labeled(le) == lx.Hypergraph(2, ((), (0, 1)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_round_trip_in_any_node_order(self, h):
+        """Isolated vertices, singleton and duplicate hyperedges come back,
+        with the line nodes as built and reversed."""
+        le = lx.line_expand(h)
+        for nodes in (le.nodes, le.nodes[::-1]):
+            back = lx.back_project_labeled(
+                lx.LineExpansion(nodes, le.w_v, le.w_e), h.num_vertices, h.num_hyperedges
+            )
+            assert back == h
+
 
 class TestKrauszReconstruct:
     def test_worked_example_unlabeled(self, worked):
@@ -175,6 +187,7 @@ class TestKrauszReconstruct:
         if result is not None:
             line = nx.line_graph(star_graph(result.candidates[0]))
             assert nx.is_isomorphic(line, as_networkx(g))
+            assert result.candidates[1] == dual_hypergraph(result.candidates[0])
 
 
 def as_networkx(g: lx.UnlabeledGraph) -> nx.Graph:

@@ -9,7 +9,7 @@ import linexp as lx
 from linexp import verify
 from linexp.cli import main
 from linexp.reconstruction import NotALineExpansionError
-from linexp.unify import EquivalenceReport, check_star_equivalence
+from linexp.unify import DEFAULT_TOL, EquivalenceReport, check_star_equivalence
 from linexp.verify import run_verification
 
 COVERING_CHECKS = [
@@ -71,8 +71,8 @@ def test_observation_identities_catch_one_changed_entry(
     assert res.detail == detail
 
 
-def _failing_report(x, tol):
-    return EquivalenceReport("lhs", "rhs", 1.0, tol, 0, 0)
+def _failing_report(x):
+    return EquivalenceReport("lhs", "rhs", 1.0, DEFAULT_TOL, 0, 0)
 
 
 def _not_a_line_expansion(graph):
