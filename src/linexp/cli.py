@@ -21,12 +21,10 @@ from .hypergraph import (
     incidence_matrix,
     parse_hypergraph,
     render_hypergraph,
-    validate,
     vertex_degrees,
 )
 from .learn import TrainConfig, TrainingError, train
 from .reconstruction import NotALineExpansionError, UnlabeledGraph, krausz_reconstruct
-from .unify import graph_as_hypergraph
 from .verify import run_verification
 
 EXIT_OK = 0
@@ -141,11 +139,6 @@ def cmd_verify(args) -> int:
 
 def cmd_train(args) -> int:
     h = _read_hypergraph(args.hypergraph)
-    report = validate(h)
-    if not report.ok:
-        print(f"invalid hypergraph: empty hyperedges {report.empty_hyperedges}",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
     features = formats.load_features(args.features)
     if features.shape[0] != h.num_vertices:
         print("feature rows do not match vertex count", file=sys.stderr)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -218,13 +218,10 @@ def projections(h: Hypergraph) -> ProjectionSet:
     d = vertex_degrees(h).as_array()
     delta = hyperedge_degrees(h).as_array()
     n_l = int(d.sum())
-    # Pairs in (v, e) order: v repeats d(v) times, e runs over vertex_edges(v).
+    # Pairs in (v, e) order: v repeats d(v) times, and the incidence
+    # matrix's row v lists its e ascending.
     v_of = np.repeat(np.arange(nv, dtype=np.int64), d)
-    e_of = np.fromiter(
-        chain.from_iterable(h.vertex_edges(v) for v in range(nv)),
-        dtype=np.int64,
-        count=n_l,
-    )
+    e_of = incidence_matrix(h).indices
     p_v = _indicator(v_of, nv)
     p_e = _indicator(e_of, ne)
     h_r = sp.csr_array(sp.hstack([p_v, p_e], format="csr"))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,14 +106,13 @@ def hyperedge_degrees(h: Hypergraph) -> DegreeVector:
 
 
 def incidence_matrix(h: Hypergraph) -> sp.csr_array:
-    """|V| x |E| binary incidence matrix."""
-    rows, cols = [], []
-    for e, verts in enumerate(h.edges):
-        for v in verts:
-            rows.append(v)
-            cols.append(e)
-    data = np.ones(len(rows), dtype=np.float64)
-    return sp.csr_array((data, (rows, cols)), shape=(h.num_vertices, h.num_hyperedges))
+    """|V| x |E| binary incidence matrix. Row v is ``h.vertex_edges(v)``, so
+    the rows are read off the stored per-vertex lists, already sorted."""
+    indptr = np.concatenate(([0], np.cumsum(vertex_degrees(h).as_array())))
+    indices = np.fromiter(chain.from_iterable(h._vertex_edges), np.int64, h.num_pairs)
+    return sp.csr_array(
+        (np.ones(len(indices)), indices, indptr), shape=(h.num_vertices, h.num_hyperedges)
+    )
 
 
 def validate(h: Hypergraph) -> ValidationReport:

@@ -37,7 +37,7 @@ from .expansions import (
     projections,
     renormalized_operator,
 )
-from .hypergraph import Hypergraph, HypergraphError, validate
+from .hypergraph import Hypergraph
 
 
 ACTIVATIONS = ("relu", "leaky-relu")
@@ -467,11 +467,9 @@ def train(
 ) -> tuple[Model, TrainReport]:
     """Full-batch gradient descent; deterministic given the seed.
 
-    Returns the best-validation model when a validation mask exists (and
-    early stopping is enabled), otherwise the final model.
+    Returns the best-validation model when a validation mask exists,
+    otherwise the final model. Early stopping only ends the loop sooner.
     """
-    if not validate(h).ok:
-        raise HypergraphError("hypergraph has empty hyperedges")
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     le = line_expand(h, config.w_v, config.w_e)
@@ -537,8 +535,6 @@ def train(
                 since_best += 1
                 if config.early_stopping and since_best > config.patience:
                     break
-        else:
-            best_model = model
 
     final = best_model if dataset.val_mask.any() else model
     final_logits, _ = forward(final, full_op, p, x)

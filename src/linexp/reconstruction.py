@@ -7,10 +7,12 @@ expansion, so each edge lies in exactly one clique (its two ends and their
 common neighbors), one per vertex or hyperedge. One pass over the edges
 builds these cliques; every node then lies in at most two, and size-1
 cliques pad it to exactly two. The cliques are 2-colored into a vertex side
-and a hyperedge side. That gives one candidate; the other is its dual, as a
-hypergraph and its dual share an unlabeled line expansion. Back-projection,
-the cover and the dual all assemble their hypergraph from its incidence pairs
-in :func:`_hypergraph_from_pairs`.
+and a hyperedge side, each side numbered in the order its cliques first hold
+a node. That gives one candidate; the other is its dual, as a hypergraph and
+its dual share an unlabeled line expansion. Back-projection and the cover
+assemble their hypergraph from its incidence pairs in
+:func:`_hypergraph_from_pairs`; the dual is the transpose, whose hyperedges
+are the per-vertex incidence lists a :class:`Hypergraph` already stores.
 """
 from __future__ import annotations
 
@@ -155,7 +157,8 @@ def krausz_reconstruct(g: UnlabeledGraph) -> ReconstructionResult:
     rejected with ``NotALineExpansionError`` when such a set is not a clique
     or repeats a covered edge, a node lies in more than two cliques, or the
     cliques cannot be 2-colored. The first candidate takes the color-0
-    cliques as its vertices; the second is its dual.
+    cliques as its vertices, each side numbered by its cliques' smallest
+    nodes; the second is its dual.
 
     The candidates are guaranteed for connected inputs only. Every component
     gives color 0 to the clique of its smallest edge, so on a disconnected
@@ -193,29 +196,29 @@ def krausz_reconstruct(g: UnlabeledGraph) -> ReconstructionResult:
     if color is None:
         raise NotALineExpansionError("the cliques cannot be split into vertices and hyperedges")
     cover = CliqueCover(tuple(cliques), tuple((a, b) for a, b in node_cliques))
-    h = _hypergraph_from_cover(cliques, node_cliques, color)
+    h = _hypergraph_from_cover(node_cliques, color)
     return ReconstructionResult((h, dual_hypergraph(h)), cover)
 
 
-def _hypergraph_from_cover(cliques, node_cliques, color) -> Hypergraph:
-    """Cliques of color 0 become vertices, the rest hyperedges, each side
-    numbered in the order of the cliques' sorted members; each graph node
-    contributes one incidence pair."""
-    order = sorted(range(len(cliques)), key=lambda k: sorted(cliques[k]))
-    v_ids, e_ids = ({k: i for i, k in enumerate(q for q in order if color[q] == c)}
-                    for c in (0, 1))
+def _hypergraph_from_cover(node_cliques, color) -> Hypergraph:
+    """Cliques of color 0 become vertices, the rest hyperedges; each graph
+    node contributes one incidence pair. The cliques of one color partition
+    the nodes, so numbering each side's cliques in the order they first hold
+    a node numbers them in the order of their sorted members."""
+    v_ids: dict[int, int] = {}
+    e_ids: dict[int, int] = {}
     pairs = []
     for a, b in node_cliques:
         if color[a]:
             a, b = b, a
-        pairs.append((v_ids[a], e_ids[b]))
+        pairs.append((v_ids.setdefault(a, len(v_ids)), e_ids.setdefault(b, len(e_ids))))
     return _hypergraph_from_pairs(len(v_ids), len(e_ids), pairs)
 
 
 def dual_hypergraph(h: Hypergraph) -> Hypergraph:
-    """Swap the roles of vertices and hyperedges (transpose the incidence)."""
-    return _hypergraph_from_pairs(h.num_hyperedges, h.num_vertices,
-                                  ((e, v) for v, e in h.pairs()))
+    """Swap the roles of vertices and hyperedges: the hyperedges of the dual
+    are the stored per-vertex incidence lists, the transpose of ``h``."""
+    return Hypergraph(h.num_hyperedges, tuple(map(h.vertex_edges, range(h.num_vertices))))
 
 
 def hypergraph_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:

@@ -25,7 +25,6 @@ from .hypergraph import (
     HypergraphError,
     hyperedge_degrees,
     incidence_matrix,
-    validate,
 )
 from .reconstruction import UnlabeledGraph
 
@@ -129,8 +128,6 @@ def check_star_equivalence(
     h: Hypergraph, seed: int | None = None
 ) -> EquivalenceReport:
     """Degraded LE vs the weighted-degree star adjacency, elementwise."""
-    if not validate(h).ok:
-        raise HypergraphError("hypergraph has empty hyperedges")
     lhs = degraded_line_adjacency(h)
     rhs = star_adjacency(h, normalizer="weighted")
     return EquivalenceReport(

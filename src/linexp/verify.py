@@ -3,6 +3,10 @@ line-graph-of-star-expansion equivalence, expansion unification, and
 round-trip reconstruction. Every comparison is sparse, with no size cap:
 ``(a != b).nnz == 0`` for the integer identities, :mod:`linexp.unify` for the
 float ones. Over a corpus, a check reports its first failing instance's seed.
+
+Each instance's line expansion ``le = line_expand(h)``, at unit weights, is
+built once, and every ``check_*`` takes it with the hypergraph as
+``(h, le)``, so the line edges are built once per instance.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expansions import (
+    LineExpansion,
     adjacency_from_projections,
     block_gram,
     line_expand,
@@ -29,15 +34,16 @@ from .hypergraph import (
     vertex_degrees,
 )
 from .reconstruction import (
+    MAX_ISO_SIDE,
     MAX_KRAUSZ_NODES,
     NotALineExpansionError,
+    UnlabeledGraph,
     back_project_labeled,
     hypergraph_isomorphic,
     krausz_reconstruct,
     strip_labels,
 )
 from .unify import check_simple_graph_factor, check_star_equivalence
-from .reconstruction import UnlabeledGraph
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class CheckResult:
         return f"{line}: {self.detail}" if self.detail else line
 
 
-def check_observation_identities(h: Hypergraph) -> CheckResult:
+def check_observation_identities(h: Hypergraph, le: LineExpansion) -> CheckResult:
     """H_r^T H_r = [[D_v, H], [H^T, D_e]] and H_r H_r^T = 2I + A_l, both
     integer-exact, compared as sparse matrices."""
     p = projections(h)
@@ -64,8 +70,7 @@ def check_observation_identities(h: Hypergraph) -> CheckResult:
     cols = np.concatenate([np.arange(n), nv + H.col, H.row])
     expected = sp.csr_array((data, (rows, cols)), shape=(n, n))
     ok1 = (block_gram(p) != expected).nnz == 0
-    a_direct = line_expand(h, 1.0, 1.0).adjacency()
-    ok2 = (adjacency_from_projections(p) != a_direct).nnz == 0
+    ok2 = (adjacency_from_projections(p) != le.adjacency()).nnz == 0
     return CheckResult(
         "observation-identities",
         ok1 and ok2,
@@ -74,8 +79,7 @@ def check_observation_identities(h: Hypergraph) -> CheckResult:
     )
 
 
-def check_size_formulas(h: Hypergraph) -> CheckResult:
-    le = line_expand(h, 1.0, 1.0)
+def check_size_formulas(h: Hypergraph, le: LineExpansion) -> CheckResult:
     expected = size_formulas(h)
     got = (le.num_nodes, le.num_edges)
     return CheckResult(
@@ -83,12 +87,11 @@ def check_size_formulas(h: Hypergraph) -> CheckResult:
     )
 
 
-def check_line_graph_equivalence(h: Hypergraph) -> CheckResult:
+def check_line_graph_equivalence(h: Hypergraph, le: LineExpansion) -> CheckResult:
     """LE(h) equals the line graph of the star expansion under the canonical
     (v, e) labeling: star-expansion edges are exactly the incidence pairs."""
     n_star, star_edges = star_expansion_graph(h)
     lg_edges = set(line_graph(n_star, star_edges))
-    le = line_expand(h, 1.0, 1.0)
     # star_expansion_graph emits edges in h.pairs() order, matching le.nodes
     le_edges = {(i, j) for i, j, _ in le.edges}
     same = lg_edges == le_edges
@@ -99,16 +102,14 @@ def check_line_graph_equivalence(h: Hypergraph) -> CheckResult:
     )
 
 
-def check_labeled_round_trip(h: Hypergraph) -> CheckResult:
-    le = line_expand(h, 1.0, 1.0)
+def check_labeled_round_trip(h: Hypergraph, le: LineExpansion) -> CheckResult:
     back = back_project_labeled(le, h.num_vertices, h.num_hyperedges)
     return CheckResult("labeled-round-trip", back == h)
 
 
-def check_unlabeled_round_trip(h: Hypergraph) -> CheckResult:
+def check_unlabeled_round_trip(h: Hypergraph, le: LineExpansion) -> CheckResult:
     """Structure-only reconstruction recovers h or its dual (connected
     inputs)."""
-    le = line_expand(h, 1.0, 1.0)
     g = strip_labels(le)
     try:
         result = krausz_reconstruct(g)
@@ -176,10 +177,11 @@ def random_connected_graph(n: int, p: float, seed: int) -> UnlabeledGraph:
 def _first_failure(
     name: str, instances: list, check: Callable, pass_detail: str = ""
 ) -> CheckResult:
-    """``check`` on each (instance, seed) in turn. The first failure is the
-    result, its detail tagged with the seed; a pass reports ``pass_detail``."""
-    for instance, inst_seed in instances:
-        res = check(instance)
+    """``check(*args)`` on each instance ``(*args, seed)`` in turn. The first
+    failure is the result, its detail tagged with the seed; a pass reports
+    ``pass_detail``."""
+    for *args, inst_seed in instances:
+        res = check(*args)
         if not res.passed:
             tag = f" (seed {inst_seed})" if inst_seed is not None else ""
             return CheckResult(name, False, res.detail + tag)
@@ -204,7 +206,7 @@ def run_verification(
 ) -> list[CheckResult]:
     """The full property suite; generates a corpus when no input is given."""
     if hypergraph is not None:
-        corpus = [(hypergraph, None)]
+        corpus = [(hypergraph, line_expand(hypergraph), None)]
     else:
         rng = np.random.default_rng(seed)
         corpus = []
@@ -212,7 +214,8 @@ def run_verification(
             nv = int(rng.integers(2, 21))
             ne = int(rng.integers(1, 16))
             p = float(rng.uniform(0.15, 0.6))
-            corpus.append((random_hypergraph(nv, ne, p, seed + t), seed + t))
+            h = random_hypergraph(nv, ne, p, seed + t)
+            corpus.append((h, line_expand(h), seed + t))
 
     pass_detail = f"{len(corpus)} instance(s)"
     results = [
@@ -227,7 +230,7 @@ def run_verification(
 
     # star equivalence needs no zero-degree vertices
     no_isolated = [
-        (h, s) for h, s in corpus if all(h.vertex_edges(v) for v in range(h.num_vertices))
+        (h, s) for h, _, s in corpus if all(h.vertex_edges(v) for v in range(h.num_vertices))
     ]
     star = _reported(check_star_equivalence)
     results.append(_first_failure("star-equivalence", no_isolated, star))
@@ -243,12 +246,17 @@ def run_verification(
 
     if reconstruct:
         small = [
-            (h, s)
-            for h, s in corpus
+            (h, le, s)
+            for h, le, s in corpus
             if h.num_vertices <= 8 and h.num_hyperedges <= 6 and is_connected(h)
         ]
         if hypergraph is not None and not small:
-            small = [(h, s) for h, s in corpus if h.num_pairs <= MAX_KRAUSZ_NODES]
+            small = [
+                (h, le, s)
+                for h, le, s in corpus
+                if h.num_pairs <= MAX_KRAUSZ_NODES
+                and min(h.num_vertices, h.num_hyperedges) <= MAX_ISO_SIDE
+            ]
         results.append(
             _first_failure("unlabeled-round-trip", small, check_unlabeled_round_trip,
                            f"{len(small)} instance(s)")

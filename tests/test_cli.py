@@ -179,6 +179,17 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "[PASS] unlabeled-round-trip" in out
 
+    def test_input_above_the_isomorphism_limit_skips_reconstruction(
+        self, capsys, tmp_path
+    ):
+        # a 12-vertex path: 22 incidence pairs, but min(|V|, |E|) = 11
+        path = tmp_path / "path.hg"
+        path.write_text("12 11\n" + "".join(f"{i} {i + 1}\n" for i in range(11)))
+        assert main(["verify", "--input", str(path), "--reconstruct"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert lines[-1] == "[PASS] unlabeled-round-trip: 0 instance(s)"
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_non_positive_trials_is_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc:

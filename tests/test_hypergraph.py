@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import linexp as lx
 from linexp.hypergraph import render_hypergraph
+
+from test_expansions import messy_hypergraphs
 
 
 class TestParse:
@@ -86,6 +90,24 @@ class TestIncidenceMatrix:
     def test_isolated_vertex_row(self):
         h = lx.parse_hypergraph("3 1\n0 1\n")
         assert np.array_equal(lx.incidence_matrix(h).toarray()[2], [0.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs(), st.booleans())
+    def test_matches_row_column_loop(self, h, empty):
+        if empty:
+            h = lx.Hypergraph(h.num_vertices, h.edges + ((),))
+        rows, cols = [], []
+        for e, verts in enumerate(h.edges):
+            for v in verts:
+                rows.append(v)
+                cols.append(e)
+        shape = (h.num_vertices, h.num_hyperedges)
+        expected = sp.csr_array((np.ones(len(rows)), (rows, cols)), shape=shape)
+        got = lx.incidence_matrix(h)
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_parse_render_round_trip(self):
         for seed in range(50):

@@ -474,7 +474,7 @@ class TestTrain:
         zeros = np.zeros(2, dtype=bool)
         ds = lx.Dataset(np.ones((2, 1)), np.array([0, 1]),
                         np.array([True, True]), zeros, zeros, 2)
-        with pytest.raises(lx.HypergraphError):
+        with pytest.raises(lx.HypergraphError, match=r"^empty hyperedges \(1,\)$"):
             lx.train(h, ds, lx.TrainConfig(epochs=1))
 
     def test_early_stopping_stops(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linexp as lx
-from linexp.reconstruction import UnlabeledGraph, dual_hypergraph, strip_labels
+from linexp.reconstruction import UnlabeledGraph, _two_color, dual_hypergraph, strip_labels
 from linexp.verify import random_connected_hypergraph
 
 from test_expansions import messy_hypergraphs
@@ -20,6 +20,20 @@ def test_strip_labels_keeps_the_line_edges_as_built(h):
     le = lx.line_expand(h)
     expected = UnlabeledGraph.from_edges(le.num_nodes, [(i, j) for i, j, _ in le.edges])
     assert strip_labels(le) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(messy_hypergraphs(), st.booleans())
+def test_dual_is_the_pair_swap(h, empty):
+    if empty:
+        h = lx.Hypergraph(h.num_vertices, h.edges + ((),))
+    # each (v, e) swapped to (e, v), read off the hyperedges
+    members = [[] for _ in range(h.num_vertices)]
+    for e, verts in enumerate(h.edges):
+        for v in verts:
+            members[v].append(e)
+    expected = lx.Hypergraph(h.num_hyperedges, tuple(tuple(sorted(m)) for m in members))
+    assert dual_hypergraph(h) == expected
 
 
 class TestBackProjectLabeled:
@@ -188,6 +202,24 @@ class TestKrauszReconstruct:
             line = nx.line_graph(star_graph(result.candidates[0]))
             assert nx.is_isomorphic(line, as_networkx(g))
             assert result.candidates[1] == dual_hypergraph(result.candidates[0])
+            assert result.candidates[0] == numbered_by_sorted_members(result.cover)
+
+
+def numbered_by_sorted_members(cover) -> lx.Hypergraph:
+    """The first candidate of a cover: color-0 cliques are vertices, the
+    others hyperedges, each side numbered in the order of its cliques'
+    sorted members."""
+    color = _two_color(len(cover.cliques), cover.assignment)
+    order = sorted(range(len(cover.cliques)), key=lambda k: sorted(cover.cliques[k]))
+    v_ids, e_ids = (
+        {k: i for i, k in enumerate(q for q in order if color[q] == c)} for c in (0, 1)
+    )
+    members = [[] for _ in e_ids]
+    for a, b in cover.assignment:
+        if color[a]:
+            a, b = b, a
+        members[e_ids[b]].append(v_ids[a])
+    return lx.Hypergraph(len(v_ids), tuple(tuple(sorted(m)) for m in members))
 
 
 def as_networkx(g: lx.UnlabeledGraph) -> nx.Graph:

@@ -39,7 +39,7 @@ class TestStarEquivalence:
             assert check_star_equivalence(h).passed
 
     def test_empty_hyperedge_rejected(self):
-        with pytest.raises(lx.HypergraphError):
+        with pytest.raises(lx.HypergraphError, match=r"^empty hyperedges \(1,\)$"):
             check_star_equivalence(lx.Hypergraph(2, ((0,), ())))
 
     def test_report_json(self, worked):

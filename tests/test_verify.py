@@ -12,6 +12,8 @@ from linexp.reconstruction import NotALineExpansionError
 from linexp.unify import DEFAULT_TOL, EquivalenceReport, check_star_equivalence
 from linexp.verify import run_verification
 
+from conftest import WORKED_EXAMPLE_TEXT
+
 COVERING_CHECKS = [
     "observation-identities",
     "size-formulas",
@@ -66,9 +68,41 @@ def test_observation_identities_catch_one_changed_entry(
         return sp.csr_array(a)
 
     monkeypatch.setattr(verify, target, perturbed)
-    res = verify.check_observation_identities(worked)
+    res = verify.check_observation_identities(worked, lx.line_expand(worked))
     assert not res.passed
     assert res.detail == detail
+
+
+@pytest.mark.parametrize(
+    "kwargs, instances",
+    [
+        (dict(trials=40, seed=1), 40),
+        (dict(trials=40, seed=5), 40),
+        (dict(hypergraph=lx.parse_hypergraph(WORKED_EXAMPLE_TEXT)), 1),  # --input
+    ],
+    ids=["seed-1", "seed-5", "input"],
+)
+def test_one_line_expansion_per_instance(monkeypatch, kwargs, instances):
+    """Every check reads the instance's one line expansion, whose line edges
+    are built once."""
+    expansions, groups = [], []
+    real_expand, real_groups = verify.line_expand, lx.expansions.pair_groups
+
+    def counted_expand(h, *args):
+        expansions.append(h)
+        return real_expand(h, *args)
+
+    def counted_groups(nodes):
+        groups.append(nodes)
+        return real_groups(nodes)
+
+    monkeypatch.setattr(verify, "line_expand", counted_expand)
+    monkeypatch.setattr(lx.expansions, "pair_groups", counted_groups)
+    results = run_verification(reconstruct=True, **kwargs)
+    assert all(r.passed for r in results), results
+    assert results[-1].detail != "0 instance(s)"  # the round trip ran
+    assert len(expansions) == instances
+    assert len(groups) == instances
 
 
 def _failing_report(x):
