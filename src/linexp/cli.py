@@ -167,9 +167,9 @@ def cmd_reconstruct(args) -> int:
         text = f.read()
     n, labels, lo, hi = formats._read_dump(text)
     if labels is not None:
-        h = formats._hypergraph_from_label_arrays(labels, lo, hi)
+        rendered = render_hypergraph(formats._hypergraph_from_label_arrays(labels, lo, hi))
         with open(args.out, "w", encoding="utf-8") as f:
-            f.write(render_hypergraph(h))
+            f.write(rendered)
         return EXIT_OK
     try:
         result = krausz_reconstruct(UnlabeledGraph(n, tuple(zip(lo.tolist(), hi.tolist()))))

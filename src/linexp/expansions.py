@@ -191,10 +191,10 @@ def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpans
 
 def size_formulas(h: Hypergraph) -> tuple[int, int]:
     """Closed-form (|V_l|, |E_l|) from the degree sequences."""
-    d = vertex_degrees(h).as_array()
-    delta = hyperedge_degrees(h).as_array()
-    n_nodes = int(d.sum() + delta.sum()) // 2
-    n_edges = int((d * (d - 1)).sum() // 2 + (delta * (delta - 1)).sum() // 2)
+    d = vertex_degrees(h).values
+    delta = hyperedge_degrees(h).values
+    n_nodes = (sum(d) + sum(delta)) // 2
+    n_edges = sum(x * (x - 1) for x in d) // 2 + sum(x * (x - 1) for x in delta) // 2
     return n_nodes, n_edges
 
 

@@ -195,7 +195,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
 def render_hypergraph(h: Hypergraph) -> str:
     """Serialize to the text format; inverse of :func:`parse_hypergraph`."""
     out = [f"{h.num_vertices} {h.num_hyperedges}"]
-    for verts in h.edges:
+    for e, verts in enumerate(h.edges):
+        if not verts:
+            raise HypergraphError(f"hyperedge {e} is empty; the .hg format cannot hold it")
         out.append(" ".join(str(v) for v in verts))
     return "\n".join(out) + "\n"
 

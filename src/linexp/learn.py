@@ -383,7 +383,8 @@ def _draw_arcs(
     cut = ~whole
     m = size[cut]
     picks = np.empty((m.size, threshold), dtype=np.int64)
-    for s in range(threshold):
+    # With no row cut the steps draw nothing and leave rng as it is: skip them.
+    for s in range(threshold if m.size else 0):
         t = m - threshold + s
         r = rng.integers(0, t + 1)
         seen = (picks[:, :s] == r[:, None]).any(axis=1)

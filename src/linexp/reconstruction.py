@@ -4,26 +4,22 @@ Labeled inversion just reads the (vertex, hyperedge) pairs off the line
 nodes. Structure-only inversion reads the Krausz cover straight off the
 graph: the unlabeled line expansion is the line graph of the bipartite star
 expansion, so each edge lies in exactly one clique (its two ends and their
-common neighbors), one per vertex or hyperedge. One pass over the edges
-builds these cliques; every node then lies in at most two, and size-1
-cliques pad it to exactly two. The cliques are 2-colored into a vertex side
-and a hyperedge side, each side numbered in the order its cliques first hold
-a node. That gives one candidate; the other is its dual, as a hypergraph and
-its dual share an unlabeled line expansion. Back-projection and the cover
-assemble their hypergraph from its incidence pairs in
-:func:`_hypergraph_from_pairs`; the dual is the transpose, whose hyperedges
-are the per-vertex incidence lists a :class:`Hypergraph` already stores.
+common neighbors), one per vertex or hyperedge. One unchecked pass over the
+edges builds these cliques, size-1 cliques pad every node to two, and a
+2-coloring gives each node a (vertex, hyperedge) pair: one candidate, whose
+dual is the other. The finished answer is then checked once, by a
+certificate that proves the graph is the candidate's line expansion.
+Back-projection and the cover assemble their hypergraph from its incidence
+pairs in :func:`_hypergraph_from_pairs`; the dual is its transpose.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .expansions import LineExpansion
+from .expansions import LineExpansion, size_formulas
 from .hypergraph import Hypergraph, HypergraphError, hyperedge_degrees, vertex_degrees
 
-MAX_KRAUSZ_NODES = 64
 MAX_ISO_SIDE = 10
 
 
@@ -124,8 +120,8 @@ def _two_color(num_cliques: int, node_cliques: list[list[int]]):
     impossible. Color 0 is assigned to the lowest-indexed clique of each
     clique-graph component."""
     color = [-1] * num_cliques
-    # Two cliques are adjacent iff they share a node. They share at most
-    # one, as an edge lies in one clique only, so no adjacency repeats.
+    # Two cliques are adjacent iff they share a node; cliques sharing two
+    # nodes, which the certificate rejects, only repeat an adjacency.
     adj: list[list[int]] = [[] for _ in range(num_cliques)]
     for a, b in node_cliques:
         adj[a].append(b)
@@ -148,63 +144,65 @@ def _two_color(num_cliques: int, node_cliques: list[list[int]]):
 
 def krausz_reconstruct(g: UnlabeledGraph) -> ReconstructionResult:
     """Reconstruct the two dual hypergraph candidates from an unlabeled line
-    expansion.
+    expansion of any size.
 
-    The edge (i, j) lies in exactly one clique of the cover, i, j and their
-    common neighbors, because the star expansion has no triangles. The
-    cliques are taken in the order of the sorted edges, and nodes in fewer
-    than two are padded with size-1 cliques in node order. The graph is
-    rejected with ``NotALineExpansionError`` when such a set is not a clique
-    or repeats a covered edge, a node lies in more than two cliques, or the
-    cliques cannot be 2-colored. The first candidate takes the color-0
-    cliques as its vertices, each side numbered by its cliques' smallest
-    nodes; the second is its dual.
+    Each edge (i, j) whose ends share no clique yet opens the clique of i, j
+    and their common neighbors, in sorted edge order; in a line expansion
+    that is its one clique, as the star expansion has no triangles. The
+    first candidate takes the color-0 cliques as its vertices, each side
+    numbered by its cliques' smallest nodes; the second is its dual.
+    ``NotALineExpansionError`` is raised when a node would enter a third
+    clique, the cliques cannot be 2-colored, or the answer fails its
+    certificate: distinct node pairs, every edge joining pairs that share a
+    vertex or a hyperedge, and the edge count of :func:`size_formulas`.
+    With no edge repeated, these prove ``g`` is the candidate's line expansion.
 
     The candidates are guaranteed for connected inputs only. Every component
     gives color 0 to the clique of its smallest edge, so on a disconnected
     input whose components need different orientations neither candidate
     is isomorphic to the hypergraph the graph came from.
     """
-    if g.num_nodes > MAX_KRAUSZ_NODES:
-        raise HypergraphError(
-            f"structure-only reconstruction limited to {MAX_KRAUSZ_NODES} nodes"
-        )
     adj = g.adjacency_sets()
-    covered: set[tuple[int, int]] = set()
     cliques: list[frozenset[int]] = []
     node_cliques: list[list[int]] = [[] for _ in range(g.num_nodes)]
     for i, j in g.edges:
-        if (i, j) in covered:
-            continue
-        clique = sorted({i, j} | (adj[i] & adj[j]))
-        for a, b in itertools.combinations(clique, 2):
-            if b not in adj[a] or (a, b) in covered:
-                raise NotALineExpansionError(
-                    f"the common neighbors of edge ({i}, {j}) are not a new clique"
-                )
-            covered.add((a, b))
-        for x in clique:
-            node_cliques[x].append(len(cliques))
-        cliques.append(frozenset(clique))
+        for k in node_cliques[i]:
+            if j in cliques[k]:
+                break
+        else:
+            clique = frozenset({i, j} | (adj[i] & adj[j]))
+            for x in clique:
+                if len(node_cliques[x]) == 2:
+                    raise NotALineExpansionError(f"node {x} lies in more than two cliques")
+                node_cliques[x].append(len(cliques))
+            cliques.append(clique)
     for x in range(g.num_nodes):
-        if len(node_cliques[x]) > 2:
-            raise NotALineExpansionError(f"node {x} lies in more than two cliques")
         while len(node_cliques[x]) < 2:
             cliques.append(frozenset([x]))
             node_cliques[x].append(len(cliques) - 1)
     color = _two_color(len(cliques), node_cliques)
     if color is None:
         raise NotALineExpansionError("the cliques cannot be split into vertices and hyperedges")
+    pairs, nv, ne = _pairs_from_cover(node_cliques, color)
+    if len(set(pairs)) != len(pairs):
+        raise NotALineExpansionError("two nodes lie in the same two cliques")
+    for i, j in g.edges:
+        (vi, ei), (vj, ej) = pairs[i], pairs[j]
+        if vi != vj and ei != ej:
+            raise NotALineExpansionError(f"edge ({i}, {j}) joins nodes with no clique in common")
+    h = _hypergraph_from_pairs(nv, ne, pairs)
+    extra = size_formulas(h)[1] - len(g.edges)
+    if extra:
+        raise NotALineExpansionError(f"{extra} node pair(s) share a clique but no edge")
     cover = CliqueCover(tuple(cliques), tuple((a, b) for a, b in node_cliques))
-    h = _hypergraph_from_cover(node_cliques, color)
     return ReconstructionResult((h, dual_hypergraph(h)), cover)
 
 
-def _hypergraph_from_cover(node_cliques, color) -> Hypergraph:
-    """Cliques of color 0 become vertices, the rest hyperedges; each graph
-    node contributes one incidence pair. The cliques of one color partition
-    the nodes, so numbering each side's cliques in the order they first hold
-    a node numbers them in the order of their sorted members."""
+def _pairs_from_cover(node_cliques, color) -> tuple[list[tuple[int, int]], int, int]:
+    """Each node's (vertex, hyperedge) pair and the two side counts: cliques
+    of color 0 become vertices, the rest hyperedges. The cliques of one color
+    partition the nodes, so numbering each side's cliques in the order they
+    first hold a node numbers them in the order of their sorted members."""
     v_ids: dict[int, int] = {}
     e_ids: dict[int, int] = {}
     pairs = []
@@ -212,7 +210,7 @@ def _hypergraph_from_cover(node_cliques, color) -> Hypergraph:
         if color[a]:
             a, b = b, a
         pairs.append((v_ids.setdefault(a, len(v_ids)), e_ids.setdefault(b, len(e_ids))))
-    return _hypergraph_from_pairs(len(v_ids), len(e_ids), pairs)
+    return pairs, len(v_ids), len(e_ids)
 
 
 def dual_hypergraph(h: Hypergraph) -> Hypergraph:

@@ -35,7 +35,6 @@ from .hypergraph import (
 )
 from .reconstruction import (
     MAX_ISO_SIDE,
-    MAX_KRAUSZ_NODES,
     NotALineExpansionError,
     UnlabeledGraph,
     back_project_labeled,
@@ -245,20 +244,19 @@ def run_verification(
         results.append(_first_failure("simple-graph-factor", graphs, factor))
 
     if reconstruct:
-        small = [
-            (h, le, s)
-            for h, le, s in corpus
-            if h.num_vertices <= 8 and h.num_hyperedges <= 6 and is_connected(h)
-        ]
-        if hypergraph is not None and not small:
+        if hypergraph is None:
             small = [
                 (h, le, s)
                 for h, le, s in corpus
-                if h.num_pairs <= MAX_KRAUSZ_NODES
-                and min(h.num_vertices, h.num_hyperedges) <= MAX_ISO_SIDE
+                if h.num_vertices <= 8 and h.num_hyperedges <= 6 and is_connected(h)
             ]
+            why = "none is connected with |V| <= 8 and |E| <= 6"
+        else:
+            side = min(hypergraph.num_vertices, hypergraph.num_hyperedges)
+            small = corpus if side <= MAX_ISO_SIDE else []
+            why = f"min(|V|, |E|) = {side} exceeds the isomorphism test's limit of {MAX_ISO_SIDE}"
+        detail = f"{len(small)} instance(s)" + ("" if small else f": {why}")
         results.append(
-            _first_failure("unlabeled-round-trip", small, check_unlabeled_round_trip,
-                           f"{len(small)} instance(s)")
+            _first_failure("unlabeled-round-trip", small, check_unlabeled_round_trip, detail)
         )
     return results

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import linexp as lx
 from linexp import formats
 from linexp.cli import main
+from linexp.verify import random_connected_hypergraph
 
 from conftest import WORKED_EXAMPLE_TEXT
 from test_expansions import messy_hypergraphs
@@ -188,7 +189,10 @@ class TestVerify:
         assert main(["verify", "--input", str(path), "--reconstruct"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6
-        assert lines[-1] == "[PASS] unlabeled-round-trip: 0 instance(s)"
+        assert lines[-1] == (
+            "[PASS] unlabeled-round-trip: 0 instance(s): min(|V|, |E|) = 11 "
+            "exceeds the isomorphism test's limit of 10"
+        )
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_non_positive_trials_is_usage_error(self, capsys, value):
@@ -405,6 +409,32 @@ class TestReconstruct:
             for sfx in (".a", ".b")
         ]
         assert any(lx.hypergraph_isomorphic(worked, c) for c in cands)
+
+    def test_unlabeled_dump_above_64_nodes(self, tmp_path):
+        h = random_connected_hypergraph(40, 20, 0.1, 3)  # 94 incidence pairs
+        path = tmp_path / "h.hg"
+        path.write_text(lx.render_hypergraph(h))
+        le_dump = tmp_path / "le.txt"
+        assert main(["expand", "--mode", "line", "--input", str(path),
+                     "--out", str(le_dump), "--unlabeled"]) == 0
+        out = tmp_path / "back"
+        assert main(["reconstruct", "--input", str(le_dump),
+                     "--out", str(out)]) == 0
+        a, b = (lx.parse_hypergraph((tmp_path / f"back{sfx}").read_text())
+                for sfx in (".a", ".b"))
+        assert a.num_pairs == b.num_pairs == 94
+        assert {(c.num_vertices, c.num_hyperedges) for c in (a, b)} == {(40, 20), (20, 40)}
+
+    def test_labeled_dump_with_an_empty_hyperedge_is_an_error(self, capsys, tmp_path):
+        # labels name hyperedge 2, so hyperedge 1 holds no pair
+        dump = tmp_path / "gap.txt"
+        dump.write_text("2 0\n0 0\n1 2\n")
+        out = tmp_path / "back.hg"
+        assert main(["reconstruct", "--input", str(dump), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: hyperedge 1 is empty; the .hg format cannot hold it\n"
+        )
+        assert not out.exists()
 
     def test_non_line_graph_fails_check(self, tmp_path):
         dump = tmp_path / "claw.txt"

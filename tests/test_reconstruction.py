@@ -155,10 +155,26 @@ class TestKrauszReconstruct:
         # each component resolves to a 3-vertex/1-hyperedge star or its dual
         assert all(n + m == 8 for n, m in counts)
 
-    def test_size_limit(self):
-        g = lx.UnlabeledGraph(65, ())
-        with pytest.raises(lx.HypergraphError):
-            lx.krausz_reconstruct(g)
+    @pytest.mark.parametrize(
+        "h",
+        [
+            # 13 hyperedges of 5 cyclically consecutive vertices: 65 pairs
+            lx.Hypergraph(13, tuple(
+                tuple(sorted((i + k) % 13 for k in range(5))) for i in range(13)
+            )),
+            random_connected_hypergraph(300, 120, 0.03, 5),  # 1,151 pairs
+        ],
+        ids=["65-nodes", "1151-nodes"],
+    )
+    def test_any_size(self, h):
+        """Connected inputs past 64 line nodes reconstruct. The first
+        candidate's star graph is isomorphic to h's, so h is isomorphic to
+        that candidate or to its dual, the second candidate."""
+        g = strip_labels(lx.line_expand(h))
+        assert g.num_nodes == h.num_pairs > 64
+        result = lx.krausz_reconstruct(g)
+        assert nx.is_isomorphic(star_graph(result.candidates[0]), star_graph(h))
+        assert result.candidates[1] == dual_hypergraph(result.candidates[0])
 
     @pytest.mark.parametrize(
         "n, edges",
