@@ -128,12 +128,9 @@ def cmd_verify(args) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
             for res in results:
-                f.write(
-                    json.dumps(
-                        {"name": res.name, "pass": res.passed, "detail": res.detail}
-                    )
-                    + "\n"
-                )
+                record = {"name": res.name, "pass": res.passed, "detail": res.detail,
+                          "instances": res.instances, "seconds": res.seconds}
+                f.write(json.dumps(record) + "\n")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from collections.abc import Sequence
 
 import numpy as np
@@ -32,34 +33,90 @@ def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
     return _render_dump(le.num_nodes, le.edges, le.nodes if labeled else None)
 
 
+_HEADER = re.compile(r"([0-9]+) ([0-9]+)\n")  # the header as the writer puts it
+_FIELD = re.compile(r"-?[0-9]+")  # a base-10 integer field
+_UNLABELED = b"? ?\n"
+_LONG = 19  # characters; a shorter field always fits in int64
+
+
 def _read_dump(text: str) -> tuple[int, np.ndarray | None, np.ndarray, np.ndarray]:
     """Read a dump (see :func:`_render_dump`) as integer arrays.
 
     Returns the node count, the labels as an (n, 2) array (None when the
     node lines are "? ?"), and the distinct edges (i < j), ascending, as the
-    arrays of their i and of their j. Fields are base-10 int64. Whole-array
-    checks decide whether any line is faulty; only then does
-    :func:`_first_fault` walk the lines to find the first faulty one.
+    arrays of their i and of their j. Fields are base-10 int64: an optional
+    "-" and ASCII digits. Text in the writer's form is read by
+    :func:`_read_body` as it is. Any other text (comments, blank lines,
+    CRLF, tabs, runs of spaces) is split into lines once, each line's
+    fields are joined by one space, and the result is read the same way;
+    only if that fails too does :func:`_first_fault` walk the lines to name
+    the first faulty one.
     """
-    header, n, m, lines, numbers = _read_header(text, "<num_line_nodes> <num_edges>")
+    header = _HEADER.match(text)
+    if header:
+        n, m = int(header[1]), int(header[2])
+        read = _read_body(n, m, text[header.end():])
+        if read is not None:
+            return read
+    header_no, n, m, lines, numbers = _read_header(text, "<num_line_nodes> <num_edges>")
     if len(lines) != n + m:
-        raise ParseError(f"expected {n} node lines and {m} edge lines", header)
-    tokens = " ".join(lines).split()
-    first = n if n > 0 and lines[0].split() == ["?", "?"] else 0  # the first line of integers
-    fields = list(map(len, map(str.split, lines)))
-    clean = fields.count(2) == len(lines) and tokens.count("?") == 2 * first
-    if clean:
-        try:
-            values = np.array(tokens[2 * first:], dtype=np.int64)
-        except (ValueError, OverflowError):
-            clean = False
-    if clean:
-        pairs = values.reshape(-1, 2)
-        edges = pairs[n - first:]
-        i, j = edges.T
-        clean = values.min(initial=0) >= 0 and edges.max(initial=-1) < n and not (i == j).any()
-    if not clean:
+        raise ParseError(f"expected {n} node lines and {m} edge lines", header_no)
+    read = _read_body(n, m, "".join(" ".join(line.split()) + "\n" for line in lines))
+    if read is None:
         raise _first_fault(lines, numbers, n)
+    return read
+
+
+def _read_body(
+    n: int, m: int, body: str
+) -> tuple[int, np.ndarray | None, np.ndarray, np.ndarray] | None:
+    """:func:`_read_dump`'s result for the ``n`` node lines and ``m`` edge
+    lines of ``body`` in the writer's form, or None if they are not in it
+    or break a rule of the format.
+
+    The writer's form is checked on the bytes: every line ends in "\n";
+    the node lines are all "? ?" or none is; every other line is two
+    fields with one space between; a field is an optional "-" and digits.
+    Only then are the integers converted, once, in C. A field of
+    ``_LONG`` characters or more is judged by Python's ``int``, as
+    ``np.fromstring`` clamps what does not fit in int64.
+    """
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    if raw.count(b"\n") != n + m or raw and raw[-1] != ord("\n"):
+        return None
+    first = n if n and raw.startswith(_UNLABELED) else 0  # the first line of integers
+    if first and not raw.startswith(_UNLABELED * n):
+        return None
+    ints = raw[len(_UNLABELED) * first:]
+    rows = n - first + m
+    a = np.frombuffer(ints, dtype=np.uint8)
+    if a.max(initial=0) > ord("9"):
+        return None
+    ends = np.flatnonzero(a < ord("0"))  # field ends, signs and any other low byte
+    if len(ends) != 2 * rows:
+        signs = a[ends] == ord("-")
+        # a sign opens a field (a[-1] is the last line end) and a digit follows it
+        before, after = a[ends[signs] - 1], a[ends[signs] + 1]
+        if not (((before == ord(" ")) | (before == ord("\n"))) & (after >= ord("0"))).all():
+            return None
+        ends = ends[~signs]
+    if a[ends].tobytes() != b" \n" * rows:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    width = ends - starts
+    if width.min(initial=1) < 1:
+        return None
+    values = np.fromstring(ints, dtype=np.int64, sep=" ")
+    for k in np.flatnonzero(width >= _LONG).tolist():
+        if not -(1 << 63) <= int(ints[starts[k]:ends[k]]) < 1 << 63:
+            return None
+    pairs = values.reshape(rows, 2)
+    edges = pairs[n - first:]
+    i, j = edges.T
+    if values.min(initial=0) < 0 or edges.max(initial=-1) >= n or (i == j).any():
+        return None
     keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
     distinct = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
@@ -84,10 +141,9 @@ def _first_fault(lines: list[str], numbers: Sequence[int], n: int) -> ParseError
                 return ParseError("node lines must be all '? ?' or all '<v> <e>'", line_no)
             if unlabeled:
                 continue
-        try:
-            a, b = int(toks[0]), int(toks[1])
-        except ValueError:
+        if not (_FIELD.fullmatch(toks[0]) and _FIELD.fullmatch(toks[1])):
             return ParseError("non-integer field", line_no)
+        a, b = int(toks[0]), int(toks[1])
         if k >= n:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 return ParseError(f"bad edge ({a}, {b})", line_no)

@@ -10,8 +10,9 @@ built once, and every ``check_*`` takes it with the hypergraph as
 """
 from __future__ import annotations
 
+import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,9 +48,16 @@ from .unify import check_simple_graph_factor, check_star_equivalence
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's verdict. Over a corpus, ``instances`` counts the instances
+    checked (up to and including the first failure) and ``seconds`` is the
+    time they took; neither takes part in comparisons, so two runs of the
+    same suite compare equal."""
+
     name: str
     passed: bool
     detail: str = ""
+    instances: int = field(default=0, compare=False)
+    seconds: float = field(default=0.0, compare=False)
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -178,13 +186,15 @@ def _first_failure(
 ) -> CheckResult:
     """``check(*args)`` on each instance ``(*args, seed)`` in turn. The first
     failure is the result, its detail tagged with the seed; a pass reports
-    ``pass_detail``."""
-    for *args, inst_seed in instances:
+    ``pass_detail``. Either way the result counts the instances checked and
+    the seconds they took."""
+    start = time.perf_counter()
+    for k, (*args, inst_seed) in enumerate(instances, start=1):
         res = check(*args)
         if not res.passed:
             tag = f" (seed {inst_seed})" if inst_seed is not None else ""
-            return CheckResult(name, False, res.detail + tag)
-    return CheckResult(name, True, pass_detail)
+            return CheckResult(name, False, res.detail + tag, k, time.perf_counter() - start)
+    return CheckResult(name, True, pass_detail, len(instances), time.perf_counter() - start)
 
 
 def _reported(check: Callable) -> Callable:

@@ -461,6 +461,8 @@ class TestReconstruct:
              "line 2: negative label (0, -9223372036854775808)"),
             ("2 1\n0 0\n1 0\n-9223372036854775808 1\n",
              "line 4: bad edge (-9223372036854775808, 1)"),
+            ("2 1\n0 0\n1 0\n0 +1\n", "line 4: non-integer field"),
+            ("2 1\n0 0\n1 1_0\n0 1\n", "line 3: non-integer field"),
         ],
     )
     def test_malformed_dump_is_parse_error(self, capsys, tmp_path, text,

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -220,6 +221,81 @@ class TestArrayReader:
         edges = [f"{perm[j]} {perm[i]}" for i, j, _ in le.edges]
         shuffled = "\n".join([f"{le.num_nodes} {le.num_edges}"] + nodes + edges) + "\n"
         assert formats.hypergraph_from_labeled_dump(shuffled) == h
+
+
+def read(text):
+    """``_read_dump``'s result as lists."""
+    n, labels, lo, hi = formats._read_dump(text)
+    return n, None if labels is None else labels.tolist(), lo.tolist(), hi.tolist()
+
+
+INT64_MAX = (1 << 63) - 1
+UNLABELED_DUMP = "3 2\n? ?\n? ?\n? ?\n0 1\n2 1\n"
+NORMALIZED_FORMS = {
+    "comments": lambda t: "# a dump\n" + t.replace("\n", "\n# note\n", 2),
+    "blank lines": lambda t: "\n" + t.replace("\n", "\n\n"),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "tabs": lambda t: t.replace(" ", "\t"),
+    "runs of spaces": lambda t: t.replace(" ", "   "),
+    "leading and trailing spaces": lambda t: "".join(f"  {ln} \n" for ln in t.splitlines()),
+    "no final line end": lambda t: t[:-1],
+}
+
+
+class TestByteReader:
+    @settings(max_examples=200, deadline=None)
+    @given(messy_hypergraphs(), st.booleans())
+    def test_rendered_dumps_read_as_they_are(self, h, labeled):
+        """A rendered dump is read in the writer's form: neither split into
+        lines for normalizing nor walked by ``_first_fault``."""
+        text = formats.render_line_expansion(lx.line_expand(h), labeled=labeled)
+        with mock.patch.object(formats, "_read_header", side_effect=AssertionError), \
+                mock.patch.object(formats, "_first_fault", side_effect=AssertionError):
+            parsed = formats.parse_line_expansion_dump(text)
+        assert parsed == loop_parse(text)
+
+    @pytest.mark.parametrize("clean", [VALID_UNSORTED_DUMP, UNLABELED_DUMP])
+    @pytest.mark.parametrize("form", NORMALIZED_FORMS)
+    def test_normalized_form_reads_as_clean_text(self, clean, form):
+        text = NORMALIZED_FORMS[form](clean)
+        assert text != clean
+        assert read(text) == read(clean)
+
+    @pytest.mark.parametrize("label", [str(INT64_MAX - 1), str(INT64_MAX), f"000{INT64_MAX}"])
+    def test_long_labels_in_int64_are_read_exactly(self, label):
+        text = f"2 1\n0 {label}\n1 {INT64_MAX}\n0 1\n"
+        assert read(text) == (2, [[0, int(label)], [1, INT64_MAX]], [0], [1])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"2 1\n0 {1 << 63}\n1 0\n0 1\n",
+             f"line 2: label (0, {1 << 63}) does not fit in int64"),
+            (f"2 1\n0 0\n1 {1 << 64}\n0 1\n",
+             f"line 3: label (1, {1 << 64}) does not fit in int64"),
+            (f"2 1\n0 -{1 << 64}\n1 0\n0 1\n", f"line 2: negative label (0, -{1 << 64})"),
+            (f"2 1\n0 0\n1 0\n{1 << 63} 1\n", f"line 4: bad edge ({1 << 63}, 1)"),
+            (f"2 1\n? ?\n? ?\n1 {1 << 63}\n", f"line 4: bad edge (1, {1 << 63})"),
+            ("2 1\n0 \n1 0\n0 1\n", "line 2: node line must have two fields"),
+            ("2 1\n0 0\n1 0\n 1\n", "line 4: edge line must have two fields"),
+            ("2 1\n? ?\n? ?\n1 \n", "line 4: edge line must have two fields"),
+        ],
+    )
+    def test_faulty_line_is_named(self, text, message):
+        """Fields beyond int64, and a line of one field and a space, which
+        the byte reader must not read as two fields."""
+        with pytest.raises(ParseError) as exc:
+            read(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field", ["+1", "1_0", "\u0663", "1.0", "0x1", "--1", "-"])
+    @pytest.mark.parametrize("line", [2, 4])
+    def test_field_other_than_ascii_digits_rejected(self, field, line):
+        lines = ["2 1", "0 0", "1 0", "0 1"]
+        lines[line - 1] = f"0 {field}"
+        with pytest.raises(ParseError) as exc:
+            read("\n".join(lines) + "\n")
+        assert str(exc.value) == f"line {line}: non-integer field"
 
 
 def write(tmp_path, name, text):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import re
 
 import networkx as nx
@@ -147,6 +149,34 @@ def test_exactly_four_checks_report_every_instance(trials):
     assert all(r.passed for r in results), results
     covering = [r.name for r in results if r.detail == f"{trials} instance(s)"]
     assert covering == COVERING_CHECKS
+
+
+def test_results_count_and_time_their_instances(monkeypatch, tmp_path):
+    """A result counts the instances it checked, up to and including the
+    first failure, and the seconds they took; neither is compared, and
+    ``verify --json`` writes both."""
+    results = {r.name: r for r in run_verification(40, 1_000_000, reconstruct=True)}
+    assert [results[name].instances for name in COVERING_CHECKS] == [40] * 4
+    assert results["unlabeled-round-trip"].instances == 1
+    assert all(r.seconds > 0 for r in results.values())
+    first = results["size-formulas"]
+    assert dataclasses.replace(first, instances=0, seconds=0.0) == first
+
+    checked = []
+
+    def third_fails(h, le):
+        checked.append(h)
+        return verify.CheckResult("size-formulas", len(checked) < 3)
+
+    monkeypatch.setattr(verify, "check_size_formulas", third_fails)
+    failed = {r.name: r for r in run_verification(40, 1_000_000)}["size-formulas"]
+    assert (failed.passed, failed.instances) == (False, 3)
+
+    report = tmp_path / "verify.jsonl"
+    main(["verify", "--trials", "20", "--seed", "3", "--json", str(report)])
+    records = [json.loads(ln) for ln in report.read_text().splitlines()]
+    assert records[0]["instances"] == 20 and records[0]["seconds"] > 0
+    assert {tuple(r) for r in records} == {("name", "pass", "detail", "instances", "seconds")}
 
 
 def test_a_round_trip_over_no_instance_says_why():
