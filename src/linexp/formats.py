@@ -10,7 +10,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .expansions import LineExpansion, size_formulas
-from .hypergraph import Hypergraph, ParseError, _read_header
+from .hypergraph import Hypergraph, ParseError, _int_fields, _read_header
 from .learn import Dataset, TrainConfig
 from .reconstruction import UnlabeledGraph, back_project_labeled
 
@@ -34,7 +34,6 @@ def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
 
 
 _HEADER = re.compile(r"([0-9]+) ([0-9]+)\n")  # the header as the writer puts it
-_FIELD = re.compile(r"-?[0-9]+")  # a base-10 integer field
 _UNLABELED = b"? ?\n"
 _LONG = 19  # characters; a shorter field always fits in int64
 
@@ -141,9 +140,10 @@ def _first_fault(lines: list[str], numbers: Sequence[int], n: int) -> ParseError
                 return ParseError("node lines must be all '? ?' or all '<v> <e>'", line_no)
             if unlabeled:
                 continue
-        if not (_FIELD.fullmatch(toks[0]) and _FIELD.fullmatch(toks[1])):
+        try:
+            a, b = _int_fields(line)
+        except ValueError:
             return ParseError("non-integer field", line_no)
-        a, b = int(toks[0]), int(toks[1])
         if k >= n:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 return ParseError(f"bad edge ({a}, {b})", line_no)
@@ -216,7 +216,7 @@ def load_labels(path: str, num_vertices: int) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
-                v, c = map(int, line.split())
+                v, c = _int_fields(line)
             except ValueError:
                 raise ParseError("label line must be '<vertex_id> <class_id>'", i) from None
             if not 0 <= v < num_vertices:
@@ -288,7 +288,7 @@ def load_train_config(path: str) -> TrainConfig:
             else:
                 kind = _CONFIG_TYPES[key]
                 try:
-                    parsed = kind(value)
+                    (parsed,) = _int_fields(value) if kind is int else (kind(value),)
                 except ValueError:
                     raise ParseError(f"{key} must be {kind.__name__}, got {value!r}", i) from None
             try:

@@ -133,6 +133,16 @@ def validate(h: Hypergraph) -> ValidationReport:
     return ValidationReport(not empty, empty, isolated, tuple(dups))
 
 
+def _int_fields(line: str) -> list[int]:
+    """The whitespace-separated fields of ``line`` as integers, ValueError
+    unless each is an optional "-" and ASCII digits: the one rule for every
+    integer read from a file. Of ASCII fields ``int`` also takes "+", "_"."""
+    fields = line.split()
+    if "+" in line or "_" in line or not (line.isascii() or all(map(str.isascii, fields))):
+        raise ValueError(f"not base-10 integer fields: {line!r}")
+    return list(map(int, fields))
+
+
 def _read_header(text: str, fields: str) -> tuple[int, int, int, list[str], Sequence[int]]:
     """Split a text file into its content lines, skipping blank lines and
     ``#`` comments, and read the first as a header of two counts.
@@ -150,11 +160,10 @@ def _read_header(text: str, fields: str) -> tuple[int, int, int, list[str], Sequ
     if not lines:
         raise ParseError("missing header", 1)
     line_no = numbers[0]
-    parts = lines[0].split()
-    if len(parts) != 2:
+    if len(lines[0].split()) != 2:
         raise ParseError(f"header must be '{fields}'", line_no)
     try:
-        a, b = int(parts[0]), int(parts[1])
+        a, b = _int_fields(lines[0])
     except ValueError:
         raise ParseError("non-integer header", line_no) from None
     if a < 0 or b < 0:
@@ -178,7 +187,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     edges = []
     for line_no, line in zip(numbers, body):
         try:
-            verts = [int(tok) for tok in line.split()]
+            verts = _int_fields(line)
         except ValueError:
             raise ParseError("non-integer vertex id", line_no) from None
         seen = set()

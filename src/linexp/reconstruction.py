@@ -7,8 +7,8 @@ expansion, so each edge lies in exactly one clique (its two ends and their
 common neighbors), one per vertex or hyperedge. One unchecked pass over the
 edges builds these cliques, size-1 cliques pad every node to two, and a
 2-coloring gives each node a (vertex, hyperedge) pair: one candidate, whose
-dual is the other. The finished answer is then checked once, by a
-certificate that proves the graph is the candidate's line expansion.
+dual is the other. One count then certifies that the graph is the
+candidate's line expansion.
 Back-projection and the cover assemble their hypergraph from its incidence
 pairs in :func:`_hypergraph_from_pairs`; the dual is its transpose.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .expansions import LineExpansion, size_formulas
+from .expansions import LineExpansion
 from .hypergraph import Hypergraph, HypergraphError, hyperedge_degrees, vertex_degrees
 
 MAX_ISO_SIDE = 10
@@ -45,13 +45,6 @@ class UnlabeledGraph:
     def from_edges(cls, num_nodes: int, edges) -> "UnlabeledGraph":
         canon = sorted({(min(i, j), max(i, j)) for i, j in edges if i != j})
         return cls(num_nodes, tuple(canon))
-
-    def adjacency_sets(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.num_nodes)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -115,25 +108,21 @@ def _hypergraph_from_pairs(num_vertices: int, num_hyperedges: int, pairs) -> Hyp
     return Hypergraph(num_vertices, tuple(tuple(sorted(m)) for m in members))
 
 
-def _two_color(num_cliques: int, node_cliques: list[list[int]]):
+def _two_color(cliques, node_cliques: list[list[int]]):
     """2-color cliques so the two cliques at every node differ; None if
-    impossible. Color 0 is assigned to the lowest-indexed clique of each
-    clique-graph component."""
-    color = [-1] * num_cliques
-    # Two cliques are adjacent iff they share a node; cliques sharing two
-    # nodes, which the certificate rejects, only repeat an adjacency.
-    adj: list[list[int]] = [[] for _ in range(num_cliques)]
-    for a, b in node_cliques:
-        adj[a].append(b)
-        adj[b].append(a)
-    for start in range(num_cliques):
+    impossible. A clique's neighbors are its members' other cliques. Color 0
+    goes to the lowest-indexed clique of each clique-graph component."""
+    color = [-1] * len(cliques)
+    for start in range(len(cliques)):
         if color[start] != -1:
             continue
         color[start] = 0
         queue = deque([start])
         while queue:
             a = queue.popleft()
-            for b in adj[a]:
+            for x in cliques[a]:
+                p, q = node_cliques[x]
+                b = q if p == a else p
                 if color[b] == -1:
                     color[b] = 1 - color[a]
                     queue.append(b)
@@ -151,18 +140,25 @@ def krausz_reconstruct(g: UnlabeledGraph) -> ReconstructionResult:
     that is its one clique, as the star expansion has no triangles. The
     first candidate takes the color-0 cliques as its vertices, each side
     numbered by its cliques' smallest nodes; the second is its dual.
+
     ``NotALineExpansionError`` is raised when a node would enter a third
-    clique, the cliques cannot be 2-colored, or the answer fails its
-    certificate: distinct node pairs, every edge joining pairs that share a
-    vertex or a hyperedge, and the edge count of :func:`size_formulas`.
-    With no edge repeated, these prove ``g`` is the candidate's line expansion.
+    clique, the cliques cannot be 2-colored, or they fail the certificate,
+    one count: S = sum of C(|c|, 2) over the cliques must equal |E(g)|.
+    Every edge lies in a clique (it is skipped only when its ends share one)
+    and no edge repeats, so S >= (node pairs inside a clique) >= |E(g)|.
+    S = |E(g)| makes both exact: no two nodes share two cliques, so the
+    (vertex, hyperedge) pairs are distinct, and every pair inside a clique
+    is an edge, so ``g`` is the candidate's line expansion.
 
     The candidates are guaranteed for connected inputs only. Every component
     gives color 0 to the clique of its smallest edge, so on a disconnected
     input whose components need different orientations neither candidate
     is isomorphic to the hypergraph the graph came from.
     """
-    adj = g.adjacency_sets()
+    adj: list[set[int]] = [set() for _ in range(g.num_nodes)]
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     cliques: list[frozenset[int]] = []
     node_cliques: list[list[int]] = [[] for _ in range(g.num_nodes)]
     for i, j in g.edges:
@@ -176,31 +172,24 @@ def krausz_reconstruct(g: UnlabeledGraph) -> ReconstructionResult:
                     raise NotALineExpansionError(f"node {x} lies in more than two cliques")
                 node_cliques[x].append(len(cliques))
             cliques.append(clique)
+    covered = sum(len(c) * (len(c) - 1) // 2 for c in cliques)
+    if covered != len(g.edges):
+        raise NotALineExpansionError(f"the cliques hold {covered} node pairs for {len(g.edges)} edges")
     for x in range(g.num_nodes):
         while len(node_cliques[x]) < 2:
             cliques.append(frozenset([x]))
             node_cliques[x].append(len(cliques) - 1)
-    color = _two_color(len(cliques), node_cliques)
+    color = _two_color(cliques, node_cliques)
     if color is None:
         raise NotALineExpansionError("the cliques cannot be split into vertices and hyperedges")
-    pairs, nv, ne = _pairs_from_cover(node_cliques, color)
-    if len(set(pairs)) != len(pairs):
-        raise NotALineExpansionError("two nodes lie in the same two cliques")
-    for i, j in g.edges:
-        (vi, ei), (vj, ej) = pairs[i], pairs[j]
-        if vi != vj and ei != ej:
-            raise NotALineExpansionError(f"edge ({i}, {j}) joins nodes with no clique in common")
-    h = _hypergraph_from_pairs(nv, ne, pairs)
-    extra = size_formulas(h)[1] - len(g.edges)
-    if extra:
-        raise NotALineExpansionError(f"{extra} node pair(s) share a clique but no edge")
+    h = _hypergraph_from_cover(node_cliques, color)
     cover = CliqueCover(tuple(cliques), tuple((a, b) for a, b in node_cliques))
     return ReconstructionResult((h, dual_hypergraph(h)), cover)
 
 
-def _pairs_from_cover(node_cliques, color) -> tuple[list[tuple[int, int]], int, int]:
-    """Each node's (vertex, hyperedge) pair and the two side counts: cliques
-    of color 0 become vertices, the rest hyperedges. The cliques of one color
+def _hypergraph_from_cover(node_cliques, color) -> Hypergraph:
+    """The hypergraph of the nodes' (vertex, hyperedge) pairs: cliques of
+    color 0 become vertices, the rest hyperedges. The cliques of one color
     partition the nodes, so numbering each side's cliques in the order they
     first hold a node numbers them in the order of their sorted members."""
     v_ids: dict[int, int] = {}
@@ -210,7 +199,7 @@ def _pairs_from_cover(node_cliques, color) -> tuple[list[tuple[int, int]], int, 
         if color[a]:
             a, b = b, a
         pairs.append((v_ids.setdefault(a, len(v_ids)), e_ids.setdefault(b, len(e_ids))))
-    return pairs, len(v_ids), len(e_ids)
+    return _hypergraph_from_pairs(len(v_ids), len(e_ids), pairs)
 
 
 def dual_hypergraph(h: Hypergraph) -> Hypergraph:

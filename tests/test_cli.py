@@ -104,6 +104,18 @@ class TestExpand:
         assert main(["expand", "--mode", "line", "--input", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1_1 1\n0\n", "line 1: non-integer header"),
+         ("2 1\n0 +1\n", "line 2: non-integer vertex id")],
+    )
+    def test_integer_outside_the_rule_is_parse_error(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "bad.hg"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["expand", "--mode", "line", "--input", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_unknown_mode_is_usage_error(self, tmp_path, worked_file):
         with pytest.raises(SystemExit) as exc:
             main(["expand", "--mode", "banana", "--input", str(worked_file),
@@ -282,6 +294,7 @@ class TestTrain:
             ("labels", "0 0\n99 1\n", "line 2: vertex id 99 out of range for 12 vertices"),
             ("labels", "-1 1\n", "line 1: vertex id -1 out of range for 12 vertices"),
             ("labels", "0 0 0\n", "line 1: label line must be '<vertex_id> <class_id>'"),
+            ("labels", "+1 1_0\n", "line 1: label line must be '<vertex_id> <class_id>'"),
             ("labels", "2 -3\n", "line 1: class id -3 out of range for 12 vertices"),
             ("labels", "2 1000000000000\n",
              "line 1: class id 1000000000000 out of range for 12 vertices"),
@@ -290,6 +303,7 @@ class TestTrain:
             ("splits", '{"train": [0], "test": [-1]}',
              "split 'test' must list vertex ids in 0..11"),
             ("config", "layers = abc\n", "line 1: layers must be int, got 'abc'"),
+            ("config", "seed = +1\n", "line 1: seed must be int, got '+1'"),
             ("config", "activation = tanh\n",
              "line 1: activation must be one of ('relu', 'leaky-relu'), got 'tanh'"),
             ("config", "layers = 0\n", "line 1: layers must be at least 1, got 0"),

@@ -297,6 +297,12 @@ class TestByteReader:
             read("\n".join(lines) + "\n")
         assert str(exc.value) == f"line {line}: non-integer field"
 
+    @pytest.mark.parametrize("count", ["+2", "0_2", "\u0662"])
+    def test_header_other_than_ascii_digits_rejected(self, count):
+        with pytest.raises(ParseError) as exc:
+            read(f"{count} 1\n0 0\n1 0\n0 1\n")
+        assert str(exc.value) == "line 1: non-integer header"
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -317,6 +323,10 @@ class TestLoadLabels:
             ("0 1 2\n", "line 1: label line must be '<vertex_id> <class_id>'"),
             ("0\n", "line 1: label line must be '<vertex_id> <class_id>'"),
             ("0 x\n", "line 1: label line must be '<vertex_id> <class_id>'"),
+            ("+1 1_0\n", "line 1: label line must be '<vertex_id> <class_id>'"),
+            ("0 1\n+1 1\n", "line 2: label line must be '<vertex_id> <class_id>'"),
+            ("1 1_0\n", "line 1: label line must be '<vertex_id> <class_id>'"),
+            ("\u0661 0\n", "line 1: label line must be '<vertex_id> <class_id>'"),
             ("2 -3\n", "line 1: class id -3 out of range for 5 vertices"),
             ("0 1\n2 -1\n", "line 2: class id -1 out of range for 5 vertices"),
             ("2 5\n", "line 1: class id 5 out of range for 5 vertices"),
@@ -386,6 +396,10 @@ class TestLoadTrainConfig:
         "text, message",
         [
             ("layers = abc\n", "line 1: layers must be int, got 'abc'"),
+            ("layers = 1_0\n", "line 1: layers must be int, got '1_0'"),
+            ("seed = +1\n", "line 1: seed must be int, got '+1'"),
+            ("epochs = \u0663\n", "line 1: epochs must be int, got '\u0663'"),
+            ("hidden = 2 3\n", "line 1: hidden must be int, got '2 3'"),
             ("epochs = 10\nlr = fast\n", "line 2: lr must be float, got 'fast'"),
             ("activation = tanh\n", "line 1: activation must be one of ('relu', 'leaky-relu'), got 'tanh'"),
             ("layers = 0\n", "line 1: layers must be at least 1, got 0"),

@@ -41,6 +41,29 @@ class TestParse:
         h = lx.parse_hypergraph("2 1\r\n0 1\r\n")
         assert h.edges == ((0, 1),)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 1\n0 +1\n", "line 2: non-integer vertex id"),
+            ("2 1\n0 1_0\n", "line 2: non-integer vertex id"),
+            ("2 1\n\u0661 0\n", "line 2: non-integer vertex id"),
+            ("1_1 1\n0\n", "line 1: non-integer header"),
+            ("+2 1\n0 1\n", "line 1: non-integer header"),
+            ("\u0662 1\n0 1\n", "line 1: non-integer header"),
+            ("-2 1\n0 1\n", "line 1: negative counts in header"),
+            ("2 1\n0 -1\n", "line 2: vertex id -1 out of range"),
+        ],
+    )
+    def test_integer_is_an_optional_minus_and_ascii_digits(self, text, message):
+        with pytest.raises(lx.ParseError) as exc:
+            lx.parse_hypergraph(text)
+        assert str(exc.value) == message
+
+    def test_integers_may_be_split_by_any_whitespace(self):
+        """A non-ASCII line is judged field by field, and "-0" and leading
+        zeros are integers under the rule."""
+        assert lx.parse_hypergraph("02 1\n-0\u00a001\n") == lx.Hypergraph(2, ((0, 1),))
+
 
 class TestDegrees:
     def test_worked_example(self, worked):
