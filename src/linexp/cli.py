@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import formats
-from .expansions import clique_adjacency, line_expand, size_formulas, star_adjacency
+from .expansions import clique_adjacency, line_expand, size_formulas, star_expansion_graph
 from .hypergraph import (
     Hypergraph,
     HypergraphError,
@@ -61,12 +61,10 @@ def cmd_expand(args) -> int:
     h = _read_hypergraph(args.input)
     if args.mode == "line":
         text = formats.render_line_expansion(line_expand(h), labeled=not args.unlabeled)
+    elif args.mode == "star":
+        text = formats._render_dump(*star_expansion_graph(h))
     else:
-        adj = (
-            clique_adjacency(h)
-            if args.mode == "clique"
-            else star_adjacency(h)
-        )
+        adj = clique_adjacency(h)
         # Canonical CSR: each row's columns sorted and distinct, so its
         # upper triangle lists the edges (r, c), r < c, in sorted order.
         adj.sum_duplicates()

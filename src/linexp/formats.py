@@ -10,9 +10,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from .expansions import LineExpansion, size_formulas
-from .hypergraph import Hypergraph, ParseError, _int_fields, _read_header
+from .hypergraph import Hypergraph, ParseError, _DIGITS, _int_field, _int_fields, _read_header
 from .learn import Dataset, TrainConfig
-from .reconstruction import UnlabeledGraph, back_project_labeled
+from .reconstruction import UnlabeledGraph, _hypergraph_from_pairs
 
 
 def _render_dump(
@@ -33,9 +33,8 @@ def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
     return _render_dump(le.num_nodes, le.edges, le.nodes if labeled else None)
 
 
-_HEADER = re.compile(r"([0-9]+) ([0-9]+)\n")  # the header as the writer puts it
+_HEADER = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n")  # the writer's header; counts < 10**18
 _UNLABELED = b"? ?\n"
-_LONG = 19  # characters; a shorter field always fits in int64
 
 
 def _read_dump(text: str) -> tuple[int, np.ndarray | None, np.ndarray, np.ndarray]:
@@ -77,7 +76,7 @@ def _read_body(
     the node lines are all "? ?" or none is; every other line is two
     fields with one space between; a field is an optional "-" and digits.
     Only then are the integers converted, once, in C. A field of
-    ``_LONG`` characters or more is judged by Python's ``int``, as
+    ``_DIGITS`` characters or more is judged by :func:`_int_field`, as
     ``np.fromstring`` clamps what does not fit in int64.
     """
     if not body.isascii():
@@ -108,8 +107,8 @@ def _read_body(
     if width.min(initial=1) < 1:
         return None
     values = np.fromstring(ints, dtype=np.int64, sep=" ")
-    for k in np.flatnonzero(width >= _LONG).tolist():
-        if not -(1 << 63) <= int(ints[starts[k]:ends[k]]) < 1 << 63:
+    for k in np.flatnonzero(width >= _DIGITS).tolist():
+        if not -(1 << 63) <= _int_field(ints[starts[k]:ends[k]].decode()) < 1 << 63:
             return None
     pairs = values.reshape(rows, 2)
     edges = pairs[n - first:]
@@ -180,7 +179,8 @@ def _hypergraph_from_label_arrays(
     the distinct edges must number ``size_formulas``: then they are exactly
     the line edges of the labels.
     """
-    h = back_project_labeled(LineExpansion(tuple(map(tuple, labels.tolist())), 1.0, 1.0))
+    nv, ne = (labels.max(axis=0, initial=-1) + 1).tolist()
+    h = _hypergraph_from_pairs(nv, ne, labels.tolist())
     v_of, e_of = labels.T
     unrelated = (v_of[lo] != v_of[hi]) & (e_of[lo] != e_of[hi])
     if unrelated.any():
@@ -291,6 +291,8 @@ def load_train_config(path: str) -> TrainConfig:
                     (parsed,) = _int_fields(value) if kind is int else (kind(value),)
                 except ValueError:
                     raise ParseError(f"{key} must be {kind.__name__}, got {value!r}", i) from None
+                if kind is int and not -(1 << 63) <= parsed < 1 << 63:
+                    raise ParseError(f"{key} does not fit in int64", i)
             try:
                 cfg = dataclasses.replace(cfg, **{key: parsed})
             except ValueError as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import lt
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,9 +31,9 @@ class ParseError(HypergraphError):
 class Hypergraph:
     """Immutable hypergraph with 0-based dense vertex/hyperedge ids.
 
-    ``edges[e]`` is the sorted tuple of vertices incident to hyperedge ``e``.
-    Empty hyperedges are representable (flagged by :func:`validate`), and
-    duplicate hyperedges are kept as distinct hyperedges.
+    ``edges[e]`` holds the vertices of hyperedge ``e``; the constructor
+    judges them by the member rule of :func:`_member_fault`. Empty hyperedges
+    are representable (flagged by :func:`validate`); duplicates stay distinct.
     """
 
     num_vertices: int
@@ -44,15 +45,8 @@ class Hypergraph:
             raise HypergraphError("negative vertex count")
         by_vertex: list[list[int]] = [[] for _ in range(self.num_vertices)]
         for e, verts in enumerate(self.edges):
-            seen = set()
-            for v in verts:
-                if not 0 <= v < self.num_vertices:
-                    raise HypergraphError(f"vertex {v} out of range in hyperedge {e}")
-                if v in seen:
-                    raise HypergraphError(f"duplicate vertex {v} in hyperedge {e}")
-                seen.add(v)
-            if list(verts) != sorted(verts):
-                raise HypergraphError(f"hyperedge {e} vertices not sorted")
+            if fault := _member_fault(verts, self.num_vertices):
+                raise HypergraphError(f"hyperedge {e}: {fault}")
             for v in verts:
                 by_vertex[v].append(e)
         object.__setattr__(self, "_vertex_edges", tuple(tuple(es) for es in by_vertex))
@@ -72,6 +66,19 @@ class Hypergraph:
     @property
     def num_pairs(self) -> int:
         return sum(len(e) for e in self.edges)
+
+
+def _member_fault(verts: Sequence[int], num_vertices: int) -> str | None:
+    """The member rule of a hyperedge: its vertex ids are strictly ascending
+    and lie in 0..num_vertices-1. None if ``verts`` keeps it, else its first
+    fault in the order of ``verts``."""
+    if not verts or all(map(lt, verts, verts[1:])) and 0 <= verts[0] and verts[-1] < num_vertices:
+        return None
+    for prev, v in zip((-1, *verts), verts):
+        if not 0 <= v < num_vertices:
+            return f"vertex id {v} out of range"
+        if v <= prev:
+            return f"duplicate vertex {v} within hyperedge" if v == prev else f"vertex {v} after {prev}"
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,9 @@ def validate(h: Hypergraph) -> ValidationReport:
     return ValidationReport(not empty, empty, isolated, tuple(dups))
 
 
+_DIGITS = 19  # significant digits of the largest int64
+
+
 def _int_fields(line: str) -> list[int]:
     """The whitespace-separated fields of ``line`` as integers, ValueError
     unless each is an optional "-" and ASCII digits: the one rule for every
@@ -140,7 +150,29 @@ def _int_fields(line: str) -> list[int]:
     fields = line.split()
     if "+" in line or "_" in line or not (line.isascii() or all(map(str.isascii, fields))):
         raise ValueError(f"not base-10 integer fields: {line!r}")
-    return list(map(int, fields))
+    short = len(line) <= _DIGITS or max(map(len, fields), default=0) <= _DIGITS
+    return list(map(int if short else _int_field, fields))
+
+
+def _int_field(field: str) -> int:
+    """``int(field)``, its sign and leading zeros stripped first so that at
+    most ``_DIGITS`` digits are converted: a field of more is a :class:`_Huge`."""
+    sign, digits = ("-", field[1:]) if field[:1] == "-" else ("", field)
+    digits = digits.lstrip("0") or digits[-1:]
+    if len(digits) <= _DIGITS or not digits.isdigit():
+        return int(sign + digits)
+    huge = _Huge(sign + "1" + "0" * _DIGITS)
+    huge.text = sign + digits
+    return huge
+
+
+class _Huge(int):
+    """An integer of more than ``_DIGITS`` digits, never converted: it equals
+    ±10**_DIGITS, the least magnitude it can have, beyond int64, so every
+    range check judges it as it would its value, and it prints as written."""
+
+    def __repr__(self) -> str:
+        return self.text
 
 
 def _read_header(text: str, fields: str) -> tuple[int, int, int, list[str], Sequence[int]]:
@@ -168,6 +200,8 @@ def _read_header(text: str, fields: str) -> tuple[int, int, int, list[str], Sequ
         raise ParseError("non-integer header", line_no) from None
     if a < 0 or b < 0:
         raise ParseError("negative counts in header", line_no)
+    if max(a, b) >= 1 << 63:
+        raise ParseError("header count does not fit in int64", line_no)
     return line_no, a, b, lines[1:], numbers[1:]
 
 
@@ -176,7 +210,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
     Line 1: ``<num_vertices> <num_hyperedges>``; then one line per hyperedge
     with its space-separated 0-based vertex ids. Blank lines and ``#``
-    comments are ignored. LF or CRLF.
+    comments are ignored. LF or CRLF. :class:`Hypergraph` judges the sorted
+    lines; only if it rejects them are they walked to name the first fault.
     """
     line_no, nv, ne, body, numbers = _read_header(text, "<num_vertices> <num_hyperedges>")
     if len(body) != ne:
@@ -187,18 +222,14 @@ def parse_hypergraph(text: str) -> Hypergraph:
     edges = []
     for line_no, line in zip(numbers, body):
         try:
-            verts = _int_fields(line)
+            edges.append(tuple(sorted(_int_fields(line))))
         except ValueError:
             raise ParseError("non-integer vertex id", line_no) from None
-        seen = set()
-        for v in verts:
-            if not 0 <= v < nv:
-                raise ParseError(f"vertex id {v} out of range", line_no)
-            if v in seen:
-                raise ParseError(f"duplicate vertex {v} within hyperedge", line_no)
-            seen.add(v)
-        edges.append(tuple(sorted(verts)))
-    return Hypergraph(nv, tuple(edges))
+    try:
+        return Hypergraph(nv, tuple(edges))
+    except HypergraphError:
+        line_no, fault = next((k, f) for k, e in zip(numbers, edges) if (f := _member_fault(e, nv)))
+        raise ParseError(fault, line_no) from None
 
 
 def render_hypergraph(h: Hypergraph) -> str:

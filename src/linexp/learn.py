@@ -37,7 +37,7 @@ from .expansions import (
     projections,
     renormalized_operator,
 )
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, ParseError, _int_fields
 
 
 ACTIVATIONS = ("relu", "leaky-relu")
@@ -594,21 +594,24 @@ def value_hypergraph(table: np.ndarray) -> Hypergraph:
 
 def load_zoo(path: str, seed: int = 0) -> tuple[Hypergraph, Dataset]:
     """UCI Zoo: name, 16 categorical attributes, class in 1..7. Hyperedges
-    group animals sharing an attribute value; split is 66 train / 35 test."""
+    group animals sharing an attribute value; split is 66 train / 35 test.
+    A row that is not a name and 17 int64 integers is a ``ParseError``."""
     rows = []
-    labels = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for i, line in enumerate(f, start=1):
+            if not line.strip():
                 continue
-            parts = line.split(",")
-            rows.append([int(x) for x in parts[1:17]])
-            labels.append(int(parts[17]) - 1)
+            fields = line.strip().split(",")[1:]
+            try:
+                rows.append(_int_fields(" ".join(fields)))
+            except ValueError:
+                rows.append([])
+            if not len(rows[-1]) == len(fields) == 17 or max(map(abs, rows[-1])) >= 1 << 63:
+                raise ParseError("zoo row must be a name and 17 int64 integers", i)
     table = np.asarray(rows, dtype=np.int64)
-    h = value_hypergraph(table)
+    h = value_hypergraph(table[:, :16])
     n = len(rows)
-    labels_arr = np.asarray(labels)
+    labels_arr = table[:, 16] - 1
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     train_mask = np.zeros(n, dtype=bool)
@@ -616,7 +619,7 @@ def load_zoo(path: str, seed: int = 0) -> tuple[Hypergraph, Dataset]:
     test_mask = ~train_mask
     val_mask = np.zeros(n, dtype=bool)
     ds = Dataset(
-        table.astype(np.float64),
+        table[:, :16].astype(np.float64),
         labels_arr,
         train_mask,
         val_mask,

@@ -81,22 +81,17 @@ def back_project_labeled(
     """Rebuild the hypergraph whose incidence pairs are the line-node labels.
 
     Counts default to max label + 1; pass them explicitly to keep trailing
-    isolated vertices.
+    isolated vertices. Repeated or out-of-range vertices fail in :class:`Hypergraph`.
     """
     pairs = le.nodes
-    if len(set(pairs)) != len(pairs):
-        raise HypergraphError("duplicate (vertex, hyperedge) labels")
-    nv = max((v for v, _ in pairs), default=-1) + 1
+    if num_vertices is None:
+        num_vertices = max((v for v, _ in pairs), default=-1) + 1
     ne = max((e for _, e in pairs), default=-1) + 1
-    if num_vertices is not None:
-        if num_vertices < nv:
-            raise HypergraphError("num_vertices smaller than labels require")
-        nv = num_vertices
     if num_hyperedges is not None:
         if num_hyperedges < ne:
             raise HypergraphError("num_hyperedges smaller than labels require")
         ne = num_hyperedges
-    return _hypergraph_from_pairs(nv, ne, pairs)
+    return _hypergraph_from_pairs(num_vertices, ne, pairs)
 
 
 def _hypergraph_from_pairs(num_vertices: int, num_hyperedges: int, pairs) -> Hypergraph:

@@ -67,10 +67,15 @@ class TestExpand:
 
     @staticmethod
     def comprehension_dump(h, mode):
-        """The clique or star dump written from a set of every stored
-        (r, c), r < c, of the adjacency's COO form, sorted."""
-        adj = lx.clique_adjacency(h) if mode == "clique" else lx.star_adjacency(h)
-        coo = sp.coo_array(adj)
+        """The clique dump written from a set of every stored (r, c), r < c,
+        of the adjacency's COO form, sorted; the star dump is the bipartite
+        star expansion, vertices 0..|V|-1 then hyperedges, one edge per
+        incidence pair, sorted."""
+        if mode == "star":
+            nv = h.num_vertices
+            edges = sorted((v, nv + e) for e, verts in enumerate(h.edges) for v in verts)
+            return formats._render_dump(nv + h.num_hyperedges, edges)
+        coo = sp.coo_array(lx.clique_adjacency(h))
         edges = sorted({(int(r), int(c)) for r, c in zip(coo.row, coo.col) if r < c})
         return formats._render_dump(h.num_vertices, edges)
 
@@ -107,7 +112,9 @@ class TestExpand:
     @pytest.mark.parametrize(
         "text, message",
         [("1_1 1\n0\n", "line 1: non-integer header"),
-         ("2 1\n0 +1\n", "line 2: non-integer vertex id")],
+         ("2 1\n0 +1\n", "line 2: non-integer vertex id"),
+         pytest.param("2 1\n0 " + "9" * 5000 + "\n",
+                      "line 2: vertex id " + "9" * 5000 + " out of range", id="long-id")],
     )
     def test_integer_outside_the_rule_is_parse_error(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.hg"
@@ -316,6 +323,12 @@ class TestTrain:
              "line 2: leaky_slope must not be negative, got -1.0"),
             ("config", "w_v = 0\nw_e = 0\n", "line 2: w_v and w_e must not both be zero"),
             ("config", "seed = -3\n", "line 1: seed must not be negative, got -3"),
+            ("config", "seed = 9223372036854775808\n", "line 1: seed does not fit in int64"),
+            pytest.param("config", "seed = " + "9" * 5000 + "\n",
+                         "line 1: seed does not fit in int64", id="config-long-seed"),
+            pytest.param("labels", "0 " + "9" * 5000 + "\n",
+                         "line 1: class id " + "9" * 5000 + " out of range for 12 vertices",
+                         id="labels-long-class"),
         ],
     )
     def test_bad_input_is_parse_error(self, capsys, tmp_path, kind, text, message):
@@ -477,6 +490,13 @@ class TestReconstruct:
              "line 4: bad edge (-9223372036854775808, 1)"),
             ("2 1\n0 0\n1 0\n0 +1\n", "line 4: non-integer field"),
             ("2 1\n0 0\n1 1_0\n0 1\n", "line 3: non-integer field"),
+            pytest.param("2 1\n0 " + "9" * 5000 + "\n1 0\n0 1\n",
+                         "line 2: label (0, " + "9" * 5000 + ") does not fit in int64",
+                         id="long-label"),
+            pytest.param("2 1\n0 0\n1 0\n0 -" + "9" * 5000 + "\n",
+                         "line 4: bad edge (0, -" + "9" * 5000 + ")", id="long-edge"),
+            pytest.param("9" * 5000 + " 1\n", "line 1: header count does not fit in int64",
+                         id="long-count"),
         ],
     )
     def test_malformed_dump_is_parse_error(self, capsys, tmp_path, text,

@@ -43,6 +43,14 @@ class TestLabeledDump:
         with pytest.raises(lx.HypergraphError, match="duplicate"):
             formats.hypergraph_from_labeled_dump("2 1\n0 0\n0 0\n0 1\n")
 
+    def test_leading_zeros_do_not_count_as_digits(self):
+        """Fields of thousands of characters, almost all leading zeros, are
+        read by value, in the writer's form and in any other."""
+        zeros = "0" * 5000
+        text = f"2 1\n0 {zeros}\n{zeros}1 -{zeros}\n0 {zeros}1\n"
+        for form in (text, text.replace(" ", "\t")):
+            assert formats.hypergraph_from_labeled_dump(form) == lx.Hypergraph(2, ((0, 1),))
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_node_permutation_reads_back_the_same(self, data):

@@ -52,6 +52,13 @@ class TestParse:
             ("\u0662 1\n0 1\n", "line 1: non-integer header"),
             ("-2 1\n0 1\n", "line 1: negative counts in header"),
             ("2 1\n0 -1\n", "line 2: vertex id -1 out of range"),
+            ("3 1\n5 0 -1\n", "line 2: vertex id -1 out of range"),
+            ("3 1\n2 2 1 1\n", "line 2: duplicate vertex 1 within hyperedge"),
+            ("3 2\n0 1\n1 9 1\n", "line 3: duplicate vertex 1 within hyperedge"),
+            pytest.param("2 1\n0 -" + "9" * 5000 + "\n",
+                         "line 2: vertex id -" + "9" * 5000 + " out of range", id="long-id"),
+            pytest.param("9" * 5000 + " 0\n", "line 1: header count does not fit in int64",
+                         id="long-count"),
         ],
     )
     def test_integer_is_an_optional_minus_and_ascii_digits(self, text, message):
@@ -63,6 +70,51 @@ class TestParse:
         """A non-ASCII line is judged field by field, and "-0" and leading
         zeros are integers under the rule."""
         assert lx.parse_hypergraph("02 1\n-0\u00a001\n") == lx.Hypergraph(2, ((0, 1),))
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        zeros = "0" * 5000
+        edge = f"-{zeros} {zeros}1"
+        assert lx.parse_hypergraph(f"{zeros}2 1\n{edge}\n") == lx.Hypergraph(2, ((0, 1),))
+        with pytest.raises(lx.ParseError, match="^line 2: duplicate vertex 0 within hyperedge$"):
+            lx.parse_hypergraph(f"2 1\n{edge} {zeros}\n")
+
+
+def breaks_member_rule(t, n):
+    """The member rule, stated directly: ids distinct, ascending, in 0..n-1."""
+    return list(t) != sorted(set(t)) or any(not 0 <= v < n for v in t)
+
+
+class TestMemberRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 8), max_size=6).map(tuple), st.integers(0, 7))
+    def test_constructor_and_parser_judge_the_rule(self, t, n):
+        try:
+            lx.Hypergraph(n, (t,))
+        except lx.HypergraphError:
+            rejected = True
+        else:
+            rejected = False
+        assert rejected == breaks_member_rule(t, n)
+        try:
+            lx.parse_hypergraph(f"{n} 1\n{' '.join(map(str, t))}\n")
+        except lx.ParseError as exc:
+            line = exc.line
+        else:
+            line = None
+        # an empty t leaves no hyperedge line, so the parser fails at line 1
+        assert (line == 2) == breaks_member_rule(sorted(t), n)
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ((0, 5), "hyperedge 0: vertex id 5 out of range"),
+            ((1, 1), "hyperedge 0: duplicate vertex 1 within hyperedge"),
+            ((2, 1), "hyperedge 0: vertex 1 after 2"),
+        ],
+    )
+    def test_constructor_names_the_first_fault(self, edge, message):
+        with pytest.raises(lx.HypergraphError, match=f"^{message}$"):
+            lx.Hypergraph(3, (edge,))
 
 
 class TestDegrees:

@@ -590,3 +590,38 @@ class TestValueHypergraph:
         table = np.array([[0, 1], [0, 2], [1, 1]])
         h = value_hypergraph(table)
         assert set(h.edges) == {(0, 1), (2,), (0, 2), (1,)}
+
+
+class TestLoadZoo:
+    ROW = "aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1,{cls}\n"
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "zoo.data"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_reads_attributes_and_classes(self, tmp_path):
+        text = self.ROW.format(cls=1) + "\n" + self.ROW.format(cls=3).replace("aardvark", "bass")
+        h, ds = lx.load_zoo(self.write(tmp_path, text))
+        assert ds.features.shape == (2, 16)
+        assert ds.labels.tolist() == [0, 2]
+        assert h == value_hypergraph(ds.features.astype(np.int64))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "aardvark,1,0,0,1,0,0,1,1,1,1,0,0,4,0,0,1\n",
+            ROW.format(cls="1,1"),
+            ROW.format(cls="+1"),
+            ROW.format(cls="1_0"),
+            ROW.format(cls="1 1"),
+            ROW.format(cls="").replace(",1,0,0,", ",1,,0,"),
+            ROW.format(cls="9" * 5000),
+            "aardvark\n",
+        ],
+        ids=["short", "long", "plus", "underscore", "space", "empty", "huge", "name-only"],
+    )
+    def test_bad_row_is_a_parse_error_naming_its_line(self, tmp_path, row):
+        path = self.write(tmp_path, self.ROW.format(cls=1) + row)
+        with pytest.raises(lx.ParseError, match=r"^line 2: zoo row must be a name and 17 int64"):
+            lx.load_zoo(path)

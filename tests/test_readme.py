@@ -1,11 +1,13 @@
-"""The README's example runs and shows the values its comments state, and
-its CLI block lists every subcommand's flags."""
+"""The README's example runs and shows the values its comments state, its
+CLI block lists every subcommand's flags, and its train-config key list
+names every key the config reader accepts."""
 import argparse
 import ast
 import re
 from pathlib import Path
 
 from linexp.cli import build_parser
+from linexp.formats import _CONFIG_TYPES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +46,10 @@ def test_readme_cli_block_lists_each_subcommands_flags():
         for name, sub in subparsers.choices.items()
     }
     assert documented == defined
+
+
+def test_readme_train_config_lists_each_accepted_key():
+    keys = re.search(r"\*\*Train config\*\*: `key = value` lines \((.*?)\);",
+                     README.read_text(encoding="utf-8"), re.S)[1]
+    documented = re.findall(r"(?:^|,\s+)`(\w+)`", keys)
+    assert sorted(documented) == sorted(_CONFIG_TYPES)

@@ -47,7 +47,7 @@ def test_analysis_and_verification_above_old_cap(tmp_path):
     out = tmp_path / "star.txt"
     assert main(["expand", "--mode", "star", "--input", str(path),
                  "--out", str(out)]) == 0
-    assert out.read_text().startswith(f"{nv} ")
+    assert out.read_text().startswith(f"{nv + h.num_hyperedges} {h.num_pairs}\n")
 
 
 @pytest.mark.parametrize(
