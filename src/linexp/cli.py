@@ -17,6 +17,7 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     ParseError,
+    _int_setting,
     hyperedge_degrees,
     incidence_matrix,
     parse_hypergraph,
@@ -39,13 +40,13 @@ def _read_hypergraph(path: str) -> Hypergraph:
 
 def _int_at_least(low: int, kind: str):
     """argparse type for ints of at least ``low``, named ``kind`` in the
-    error."""
+    error, read by the rule of :func:`_int_setting`."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            value = _int_setting(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
         return value
@@ -92,8 +93,8 @@ def cmd_stats(args) -> int:
         return 2.0 * edges / (nodes * (nodes - 1)) if nodes > 1 else 0.0
 
     # per-node kept-neighbor cap under sampling
-    sample_bound = int((d * np.minimum(d - 1, args.delta_v)).sum()
-                       + (delta * np.minimum(delta - 1, args.delta_e)).sum())
+    sample_bound = ((d * np.minimum(d - 1, args.delta_v)).sum()
+                    + (delta * np.minimum(delta - 1, args.delta_e)).sum())
 
     print(f"vertices            {nv}")
     print(f"hyperedges          {ne}")
@@ -192,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="size and density table")
     p.add_argument("--input", required=True)
-    p.add_argument("--delta-v", type=_positive_int, default=16, dest="delta_v")
-    p.add_argument("--delta-e", type=_positive_int, default=16, dest="delta_e")
+    p.add_argument("--delta-v", type=_positive_int, default=TrainConfig.delta_v, dest="delta_v")
+    p.add_argument("--delta-e", type=_positive_int, default=TrainConfig.delta_e, dest="delta_e")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("verify", help="run the property suites")

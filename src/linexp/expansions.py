@@ -40,7 +40,6 @@ from .hypergraph import (
     HypergraphError,
     hyperedge_degrees,
     incidence_matrix,
-    validate,
     vertex_degrees,
 )
 
@@ -211,12 +210,11 @@ def projections(h: Hypergraph) -> ProjectionSet:
     Back-projection rows are convex: P_v' weights each (v, e) by 1/delta(e)
     normalized over the hyperedges incident to v; P_e' mirrors with 1/d(v).
     """
-    report = validate(h)
-    if not report.ok:
-        raise HypergraphError(f"empty hyperedges {report.empty_hyperedges}")
+    delta = hyperedge_degrees(h).as_array()
+    if not delta.all():
+        raise HypergraphError(f"empty hyperedges {tuple(np.flatnonzero(delta == 0).tolist())}")
     nv, ne = h.num_vertices, h.num_hyperedges
     d = vertex_degrees(h).as_array()
-    delta = hyperedge_degrees(h).as_array()
     n_l = int(d.sum())
     # Pairs in (v, e) order: v repeats d(v) times, and the incidence
     # matrix's row v lists its e ascending.
@@ -344,16 +342,15 @@ def effective_vertex_adjacency(
         raise ValueError(f"unknown form {form!r}")
     if w_v <= 0 and w_e <= 0:
         raise HypergraphError("need w_v > 0 or w_e > 0")
-    report = validate(h)
-    if not report.ok:
-        raise HypergraphError(f"empty hyperedges {report.empty_hyperedges}")
+    delta = hyperedge_degrees(h).as_array().astype(np.float64)
+    if not delta.all():
+        raise HypergraphError(f"empty hyperedges {tuple(np.flatnonzero(delta == 0).tolist())}")
     d = vertex_degrees(h).as_array().astype(np.float64)
     if (d == 0).any():
         raise HypergraphError(
             f"vertices with degree 0: {np.flatnonzero(d == 0).tolist()}"
         )
     H = incidence_matrix(h)
-    delta = hyperedge_degrees(h).as_array().astype(np.float64)
     dw = H @ (1.0 / delta)  # weighted degree sum_e h(u,e)/delta(e)
 
     coo = H.tocoo()

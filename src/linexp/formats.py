@@ -5,12 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import typing
 from collections.abc import Sequence
 
 import numpy as np
 
 from .expansions import LineExpansion, size_formulas
-from .hypergraph import Hypergraph, ParseError, _DIGITS, _int_field, _int_fields, _read_header
+from .hypergraph import Hypergraph, ParseError, _DIGITS, _int_field, _int_fields, _int_setting, _read_header
 from .learn import Dataset, TrainConfig
 from .reconstruction import UnlabeledGraph, _hypergraph_from_pairs
 
@@ -249,26 +250,12 @@ def load_splits(path: str, num_vertices: int) -> tuple[np.ndarray, np.ndarray, n
     return masks[0], masks[1], masks[2]
 
 
-_CONFIG_TYPES = {
-    "w_v": float,
-    "w_e": float,
-    "layers": int,
-    "hidden": int,
-    "lr": float,
-    "epochs": int,
-    "weight_decay": float,
-    "delta_v": int,
-    "delta_e": int,
-    "seed": int,
-    "activation": str,
-    "leaky_slope": float,
-    "sampling": None,  # on/off
-}
-
-
 def load_train_config(path: str) -> TrainConfig:
-    """"key = value" lines; unknown keys, values of the wrong type and values
-    that TrainConfig rejects are parse errors at the line that sets them."""
+    """"key = value" lines, one per :class:`TrainConfig` field, read by its
+    type: an int by :func:`_int_setting`, a bool as on/off. Unknown keys,
+    values of the wrong type and values that TrainConfig rejects are parse
+    errors at the line that sets them."""
+    kinds = typing.get_type_hints(TrainConfig)
     cfg = TrainConfig()
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
@@ -279,20 +266,19 @@ def load_train_config(path: str) -> TrainConfig:
                 raise ParseError("expected 'key = value'", i)
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_TYPES:
+            kind = kinds.get(key)
+            if kind is None:
                 raise ParseError(f"unknown config key {key!r}", i)
-            if key == "sampling":
+            if kind is bool:
                 if value not in ("on", "off"):
-                    raise ParseError("sampling must be on or off", i)
+                    raise ParseError(f"{key} must be on or off", i)
                 parsed = value == "on"
             else:
-                kind = _CONFIG_TYPES[key]
                 try:
-                    (parsed,) = _int_fields(value) if kind is int else (kind(value),)
-                except ValueError:
-                    raise ParseError(f"{key} must be {kind.__name__}, got {value!r}", i) from None
-                if kind is int and not -(1 << 63) <= parsed < 1 << 63:
-                    raise ParseError(f"{key} does not fit in int64", i)
+                    parsed = _int_setting(value) if kind is int else kind(value)
+                except ValueError as exc:
+                    why = exc if kind is int else f"must be {kind.__name__}, got {value!r}"
+                    raise ParseError(f"{key} {why}", i) from None
             try:
                 cfg = dataclasses.replace(cfg, **{key: parsed})
             except ValueError as exc:

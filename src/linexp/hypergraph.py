@@ -154,6 +154,18 @@ def _int_fields(line: str) -> list[int]:
     return list(map(int if short else _int_field, fields))
 
 
+def _int_setting(text: str) -> int:
+    """``text`` as one integer setting: one field by the rule of
+    :func:`_int_fields`, within int64. The ValueError says which it breaks."""
+    try:
+        (value,) = _int_fields(text)
+    except ValueError:
+        raise ValueError(f"must be int, got {text!r}") from None
+    if not -(1 << 63) <= value < 1 << 63:
+        raise ValueError("does not fit in int64")
+    return value
+
+
 def _int_field(field: str) -> int:
     """``int(field)``, its sign and leading zeros stripped first so that at
     most ``_DIGITS`` digits are converted: a field of more is a :class:`_Huge`."""

@@ -44,7 +44,7 @@ ACTIVATIONS = ("relu", "leaky-relu")
 # TrainConfig fields that must be at least 1, and those that must be finite
 # and nonnegative.
 _AT_LEAST_ONE = ("layers", "hidden", "epochs", "delta_v", "delta_e")
-_NONNEGATIVE = ("w_v", "w_e", "lr", "weight_decay", "leaky_slope", "seed")
+_NONNEGATIVE = ("w_v", "w_e", "lr", "weight_decay", "leaky_slope", "seed", "patience")
 
 
 class TrainingError(RuntimeError):

@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .expansions import LineExpansion
-from .hypergraph import Hypergraph, HypergraphError, hyperedge_degrees, vertex_degrees
+from .hypergraph import Hypergraph, HypergraphError, vertex_degrees
 
 MAX_ISO_SIDE = 10
 
@@ -81,12 +81,16 @@ def back_project_labeled(
     """Rebuild the hypergraph whose incidence pairs are the line-node labels.
 
     Counts default to max label + 1; pass them explicitly to keep trailing
-    isolated vertices. Repeated or out-of-range vertices fail in :class:`Hypergraph`.
+    isolated vertices. A negative hyperedge id fails here, repeated or
+    out-of-range vertices in :class:`Hypergraph`.
     """
     pairs = le.nodes
     if num_vertices is None:
         num_vertices = max((v for v, _ in pairs), default=-1) + 1
-    ne = max((e for _, e in pairs), default=-1) + 1
+    ids = [e for _, e in pairs]
+    if min(ids, default=0) < 0:
+        raise HypergraphError(f"hyperedge id {min(ids)} out of range")
+    ne = max(ids, default=-1) + 1
     if num_hyperedges is not None:
         if num_hyperedges < ne:
             raise HypergraphError("num_hyperedges smaller than labels require")
@@ -218,21 +222,15 @@ def hypergraph_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
         )
     if a.num_hyperedges > a.num_vertices:
         return hypergraph_isomorphic(dual_hypergraph(a), dual_hypergraph(b))
-    da = sorted(vertex_degrees(a).values)
-    db = sorted(vertex_degrees(b).values)
-    if da != db:
-        return False
-    if sorted(hyperedge_degrees(a).values) != sorted(hyperedge_degrees(b).values):
-        return False
 
-    dva = vertex_degrees(a).values
-    dvb = vertex_degrees(b).values
+    def edge_keys(h: Hypergraph) -> list:
+        dv = vertex_degrees(h).values
+        return [(len(verts), tuple(sorted(dv[v] for v in verts))) for verts in h.edges]
 
-    def edge_key(h: Hypergraph, dv, e: int):
-        return (len(h.edges[e]), tuple(sorted(dv[v] for v in h.edges[e])))
-
-    keys_a = [edge_key(a, dva, e) for e in range(a.num_hyperedges)]
-    keys_b = [edge_key(b, dvb, e) for e in range(b.num_hyperedges)]
+    # Equal key multisets imply equal hyperedge-degree multisets (each key
+    # holds len(e)) and, as |V| is equal, equal vertex-degree multisets (a
+    # vertex of degree k >= 1 appears k times among the keys' degree lists).
+    keys_a, keys_b = edge_keys(a), edge_keys(b)
     if sorted(keys_a) != sorted(keys_b):
         return False
     candidates = [

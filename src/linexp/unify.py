@@ -1,8 +1,8 @@
 """Numerical checks that the degraded line expansion subsumes the classic
 expansions: the w_e = 0 symmetric form equals the weighted-degree star
 adjacency, and on 2-regular hypergraphs it is half the simple-graph GCN
-adjacency. The clique relationship is checked through an independently
-coded modified-weight clique adjacency.
+adjacency. ``modified_clique_adjacency`` builds the clique adjacency with
+1/(delta(e)-1)^2 weights; no check here relates it to the line expansion.
 
 Every adjacency here is sparse and so is every comparison: the maximum
 difference is read off the stored entries of ``a - b``, so the checks run

@@ -261,7 +261,7 @@ class TestTrain:
     def test_train_with_config_file(self, tmp_path):
         hg, feats, labels, splits = self.write_toy(tmp_path)
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("epochs = 10\nlr = 0.05\nsampling = off\n")
+        cfg.write_text("epochs = 10\nlr = 0.05\nsampling = off\nearly_stopping = on\npatience = 3\n")
         out = tmp_path / "report.json"
         assert main(["train", "--hypergraph", str(hg), "--features", str(feats),
                      "--labels", str(labels), "--splits", str(splits),
@@ -269,6 +269,7 @@ class TestTrain:
         report = json.loads(out.read_text())
         assert len(report["losses"]) == 10
         assert report["config"]["lr"] == 0.05
+        assert (report["config"]["early_stopping"], report["config"]["patience"]) == (True, 3)
 
     def test_bad_config_key(self, tmp_path):
         hg, feats, labels, splits = self.write_toy(tmp_path)
@@ -324,6 +325,8 @@ class TestTrain:
             ("config", "w_v = 0\nw_e = 0\n", "line 2: w_v and w_e must not both be zero"),
             ("config", "seed = -3\n", "line 1: seed must not be negative, got -3"),
             ("config", "seed = 9223372036854775808\n", "line 1: seed does not fit in int64"),
+            ("config", "patience = -1\n", "line 1: patience must not be negative, got -1"),
+            ("config", "early_stopping = yes\n", "line 1: early_stopping must be on or off"),
             pytest.param("config", "seed = " + "9" * 5000 + "\n",
                          "line 1: seed does not fit in int64", id="config-long-seed"),
             pytest.param("labels", "0 " + "9" * 5000 + "\n",
@@ -539,6 +542,23 @@ class TestReconstruct:
             "parse error: edge (0, 2) joins labels (0, 1) and (1, 0), "
             "which share neither vertex nor hyperedge\n"
         )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["verify", "--seed", "1_0"], "argument --seed: must be int, got '1_0'"),
+     (["verify", "--trials", "+3"], "argument --trials: must be int, got '+3'"),
+     (["train", "--epochs", " \u0663 "], "argument --epochs: must be int, got ' \u0663 '"),
+     (["verify", "--seed", "9223372036854775808"], "argument --seed: does not fit in int64"),
+     (["stats", "--delta-e", "1" * 5000], "argument --delta-e: does not fit in int64")],
+    ids=["underscore", "plus", "non-ascii", "beyond-int64", "long"],
+)
+def test_integer_option_outside_the_rule_is_usage_error(capsys, argv, message):
+    """Integer options follow the file formats' integer rule."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"linexp {argv[0]}: error: {message}"
 
 
 def test_networkx_is_not_a_runtime_dependency():

@@ -1,13 +1,14 @@
 """The README's example runs and shows the values its comments state, its
 CLI block lists every subcommand's flags, and its train-config key list
-names every key the config reader accepts."""
+names every key the config reader accepts and every bound TrainConfig sets."""
 import argparse
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 from linexp.cli import build_parser
-from linexp.formats import _CONFIG_TYPES
+from linexp.learn import _AT_LEAST_ONE, _NONNEGATIVE, TrainConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,4 +53,13 @@ def test_readme_train_config_lists_each_accepted_key():
     keys = re.search(r"\*\*Train config\*\*: `key = value` lines \((.*?)\);",
                      README.read_text(encoding="utf-8"), re.S)[1]
     documented = re.findall(r"(?:^|,\s+)`(\w+)`", keys)
-    assert sorted(documented) == sorted(_CONFIG_TYPES)
+    assert sorted(documented) == sorted(dataclasses.asdict(TrainConfig()))
+
+
+def test_readme_train_config_lists_each_bound():
+    text = README.read_text(encoding="utf-8")
+    listed = r"((?:`\w+`,\s+)*`\w+`\s+or\s+`\w+`)"
+    negative = re.search(r"negative\s+" + listed + ",", text)[1]
+    below_one = re.search(r"and\s+" + listed + r"\s+below 1", text)[1]
+    assert sorted(re.findall(r"`(\w+)`", negative)) == sorted(_NONNEGATIVE)
+    assert sorted(re.findall(r"`(\w+)`", below_one)) == sorted(_AT_LEAST_ONE)

@@ -4,7 +4,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linexp as lx
 from linexp.reconstruction import UnlabeledGraph, _two_color, dual_hypergraph, strip_labels
@@ -63,6 +63,13 @@ class TestBackProjectLabeled:
         le = lx.line_expand(h)
         assert lx.back_project_labeled(le, 3, 4) == h
         assert lx.back_project_labeled(le) == lx.Hypergraph(2, ((), (0, 1)))
+
+    @pytest.mark.parametrize("counts", [(), (2, 3)], ids=["from-labels", "given"])
+    def test_negative_hyperedge_id_rejected(self, counts):
+        """-1 would index the last hyperedge's members."""
+        le = lx.LineExpansion(((0, 0), (1, -1)), 1.0, 1.0)
+        with pytest.raises(lx.HypergraphError, match=r"^hyperedge id -1 out of range$"):
+            lx.back_project_labeled(le, *counts)
 
     @settings(max_examples=150, deadline=None)
     @given(messy_hypergraphs())
@@ -322,7 +329,57 @@ def all_hypergraphs(nv: int, ne: int):
         yield lx.Hypergraph(nv, combo)
 
 
+@st.composite
+def hypergraph_pairs(draw):
+    """Two hypergraphs with equal |V| <= 7 and |E| <= 7, empty and duplicate
+    hyperedges and isolated vertices among them: the second is a relabeled
+    copy of the first, such a copy with one incidence toggled or with two
+    swapped between hyperedges (every degree kept), or drawn afresh."""
+    nv, ne = draw(st.integers(1, 7)), draw(st.integers(0, 7))
+    edge = st.sets(st.integers(0, nv - 1)).map(lambda vs: tuple(sorted(vs)))
+    edges = st.lists(edge, min_size=ne, max_size=ne)
+    a = lx.Hypergraph(nv, tuple(draw(edges)))
+    kind = draw(st.sampled_from(["copy", "toggled", "swapped", "fresh"]))
+    if kind == "fresh":
+        return a, lx.Hypergraph(nv, tuple(draw(edges)))
+    sigma = draw(st.permutations(range(nv)))
+    members = [{sigma[v] for v in verts} for verts in draw(st.permutations(a.edges))]
+    if kind == "toggled" and ne:
+        members[draw(st.integers(0, ne - 1))] ^= {draw(st.integers(0, nv - 1))}
+    if kind == "swapped" and ne:
+        e, f = draw(st.integers(0, ne - 1)), draw(st.integers(0, ne - 1))
+        if members[e] - members[f] and members[f] - members[e]:
+            u = draw(st.sampled_from(sorted(members[e] - members[f])))
+            v = draw(st.sampled_from(sorted(members[f] - members[e])))
+            members[e] ^= {u, v}
+            members[f] ^= {u, v}
+    return a, lx.Hypergraph(nv, tuple(tuple(sorted(m)) for m in members))
+
+
+def marked_star_graph(h: lx.Hypergraph) -> nx.Graph:
+    """:func:`star_graph` with every vertex and every hyperedge a node,
+    isolated or not, marked by its side."""
+    g = nx.Graph()
+    g.add_nodes_from((("v", v), {"side": "v"}) for v in range(h.num_vertices))
+    g.add_nodes_from((("e", e), {"side": "e"}) for e in range(h.num_hyperedges))
+    g.add_edges_from((("v", v), ("e", e)) for e, verts in enumerate(h.edges) for v in verts)
+    return g
+
+
 class TestIsomorphism:
+    @settings(max_examples=300, deadline=None)
+    @given(hypergraph_pairs())
+    @example((lx.Hypergraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))),
+              lx.Hypergraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))))
+    def test_agrees_with_star_graph_isomorphism(self, pair):
+        """Beyond the exhaustive test's sizes: isomorphic iff the star
+        graphs are, with vertices matched to vertices. The example, C6
+        against two triangles, has equal edge keys."""
+        a, b = pair
+        expected = nx.is_isomorphic(marked_star_graph(a), marked_star_graph(b),
+                                    node_match=lambda x, y: x["side"] == y["side"])
+        assert lx.hypergraph_isomorphic(a, b) == expected
+
     def test_permuted_copy(self):
         for seed in range(20):
             h = lx.random_hypergraph(7, 5, 0.4, seed)
