@@ -66,7 +66,6 @@ from .unify import (
     check_simple_graph_factor,
     check_star_equivalence,
     degraded_line_adjacency,
-    modified_clique_adjacency,
     simple_graph_adjacency,
 )
 

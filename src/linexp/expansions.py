@@ -181,11 +181,25 @@ class FactoredOperator:
 
 def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpansion:
     """Build the line expansion with parameterized similarity weights."""
+    _check_weights(w_v, w_e)
+    return LineExpansion(tuple(h.pairs()), float(w_v), float(w_e))
+
+
+def _check_weights(w_v: float, w_e: float) -> None:
+    """The similarity weights are nonnegative and not both zero."""
     if w_v < 0 or w_e < 0:
         raise HypergraphError("weights must be nonnegative")
     if w_v == 0 and w_e == 0:
         raise HypergraphError("w_v and w_e must not both be zero")
-    return LineExpansion(tuple(h.pairs()), float(w_v), float(w_e))
+
+
+def _hyperedge_sizes(h: Hypergraph) -> np.ndarray:
+    """delta(e) as floats. An empty hyperedge is an error: every 1/delta
+    formula would divide by its zero."""
+    delta = hyperedge_degrees(h).as_array().astype(np.float64)
+    if not delta.all():
+        raise HypergraphError(f"empty hyperedges {tuple(np.flatnonzero(delta == 0).tolist())}")
+    return delta
 
 
 def size_formulas(h: Hypergraph) -> tuple[int, int]:
@@ -210,9 +224,7 @@ def projections(h: Hypergraph) -> ProjectionSet:
     Back-projection rows are convex: P_v' weights each (v, e) by 1/delta(e)
     normalized over the hyperedges incident to v; P_e' mirrors with 1/d(v).
     """
-    delta = hyperedge_degrees(h).as_array()
-    if not delta.all():
-        raise HypergraphError(f"empty hyperedges {tuple(np.flatnonzero(delta == 0).tolist())}")
+    delta = _hyperedge_sizes(h)
     nv, ne = h.num_vertices, h.num_hyperedges
     d = vertex_degrees(h).as_array()
     n_l = int(d.sum())
@@ -285,8 +297,10 @@ def _scale_symmetric(a: sp.csr_array, d: np.ndarray) -> sp.csr_array:
     return sp.csr_array((d[rows] * a.data * d[a.indices], a.indices, a.indptr), shape=a.shape)
 
 
-def _symmetric_normalize(w: sp.csr_array, deg: np.ndarray) -> sp.csr_array:
-    """deg^{-1/2} w deg^{-1/2}, with zero rows and columns where deg = 0."""
+def _symmetric_normalize(w: sp.csr_array) -> sp.csr_array:
+    """D^{-1/2} w D^{-1/2} with D the row sums of w, the GCN renormalization
+    (Kipf & Welling, 2017); rows and columns that sum to zero stay zero."""
+    deg = w.sum(axis=1)
     inv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
     return _scale_symmetric(w, inv)
 
@@ -295,78 +309,52 @@ def clique_adjacency(h: Hypergraph) -> sp.csr_array:
     """Normalized clique-expansion adjacency with zero diagonal.
 
     A_c(u, v) = w_c(u, v) / sqrt(d_c(u) d_c(v)), where w_c counts shared
-    hyperedges and d_c(u) = sum_e h(u,e)(delta(e) - 1). Vertices with
-    d_c = 0 get zero rows.
+    hyperedges and d_c is its row sum, sum_e h(u,e)(delta(e) - 1). Vertices
+    with d_c = 0 get zero rows.
     """
     H = incidence_matrix(h)
-    delta = hyperedge_degrees(h).as_array().astype(np.float64)
     w = sp.csr_array(H @ H.T)
     w.setdiag(0)
     w.eliminate_zeros()
-    return _symmetric_normalize(w, H @ (delta - 1.0))
+    return _symmetric_normalize(w)
 
 
-def star_adjacency(h: Hypergraph, normalizer: str = "plain") -> sp.csr_array:
+def star_adjacency(h: Hypergraph) -> sp.csr_array:
     """Star-expansion adjacency A_s(u,v) = sum_e h(u,e)h(v,e)/delta(e)^2,
-    divided by sqrt(deg(u)) sqrt(deg(v)).
-
-    ``normalizer`` selects the degree: "plain" uses d(u) = sum_e h(u,e);
-    "weighted" uses the 1/delta-weighted degree sum_e h(u,e)/delta(e). The
-    diagonal is kept as the formula produces it.
+    divided by sqrt(dw(u) dw(v)) with dw its row sum, the weighted degree
+    sum_e h(u,e)/delta(e). The diagonal is kept as the formula produces it.
     """
-    if normalizer not in ("plain", "weighted"):
-        raise ValueError(f"unknown normalizer {normalizer!r}")
     H = incidence_matrix(h)
-    delta = hyperedge_degrees(h).as_array().astype(np.float64)
+    delta = _hyperedge_sizes(h)
     core = sp.csr_array(H @ sp.diags_array(1.0 / delta**2, format="csr") @ H.T)
-    if normalizer == "plain":
-        deg = vertex_degrees(h).as_array().astype(np.float64)
-    else:
-        deg = H @ (1.0 / delta)
-    return _symmetric_normalize(core, deg)
+    return _symmetric_normalize(core)
 
 
-def effective_vertex_adjacency(
-    h: Hypergraph, w_v: float, w_e: float, form: str = "symmetric"
-) -> sp.csr_array:
+def effective_vertex_adjacency(h: Hypergraph, w_v: float, w_e: float) -> sp.csr_array:
     """Vertex-level adjacency induced by one LE convolution plus back-projection.
 
-    random-walk form:
-        A(u,v) = [sum_e w_v h(u,e)h(v,e) / (delta(e)(w_v delta(e) + w_e d(u)))]
-                 / sum_e h(u,e)/delta(e)
-    symmetric form replaces the u-only denominator with the geometric mean over
-    u and v and normalizes by sqrt of the weighted degrees. The diagonal is
-    included as the formulas produce it.
+    A(u,v) = sum_e w_v h(u,e)h(v,e) / (delta(e) sqrt((w_v delta(e) + w_e d(u))
+    (w_v delta(e) + w_e d(v)))), divided by sqrt(dw(u) dw(v)) with dw the
+    weighted degree sum_e h(u,e)/delta(e), which is its row sum only when
+    w_e = 0. The diagonal is included as the formula produces it.
     """
-    if form not in ("symmetric", "random-walk"):
-        raise ValueError(f"unknown form {form!r}")
-    if w_v <= 0 and w_e <= 0:
-        raise HypergraphError("need w_v > 0 or w_e > 0")
-    delta = hyperedge_degrees(h).as_array().astype(np.float64)
-    if not delta.all():
-        raise HypergraphError(f"empty hyperedges {tuple(np.flatnonzero(delta == 0).tolist())}")
+    _check_weights(w_v, w_e)
+    delta = _hyperedge_sizes(h)
     d = vertex_degrees(h).as_array().astype(np.float64)
     if (d == 0).any():
         raise HypergraphError(
             f"vertices with degree 0: {np.flatnonzero(d == 0).tolist()}"
         )
     H = incidence_matrix(h)
-    dw = H @ (1.0 / delta)  # weighted degree sum_e h(u,e)/delta(e)
-
-    coo = H.tocoo()
-    if form == "random-walk":
-        # C(u,e) = w_v h(u,e) / (delta(e) (w_v delta(e) + w_e d(u)))
-        vals = w_v / (delta[coo.col] * (w_v * delta[coo.col] + w_e * d[coo.row]))
-        C = sp.csr_array((vals, (coo.row, coo.col)), shape=H.shape)
-        out = sp.diags_array(1.0 / dw, format="csr") @ C @ H.T
-        return sp.csr_array(out)
+    dw = H @ (1.0 / delta)
     # B(u,e) = h(u,e) sqrt(w_v / delta(e)) / sqrt(w_v delta(e) + w_e d(u)),
-    # so (B B^T)(u,v) is the symmetric-form numerator.
+    # so (B B^T)(u,v) is the numerator.
+    coo = H.tocoo()
     vals = np.sqrt(w_v / delta[coo.col]) / np.sqrt(
         w_v * delta[coo.col] + w_e * d[coo.row]
     )
     B = sp.csr_array((vals, (coo.row, coo.col)), shape=H.shape)
-    return _symmetric_normalize(B @ B.T, dw)
+    return _scale_symmetric(B @ B.T, 1.0 / np.sqrt(dw))
 
 
 def star_expansion_graph(h: Hypergraph) -> tuple[int, list[tuple[int, int]]]:

@@ -250,11 +250,19 @@ def load_splits(path: str, num_vertices: int) -> tuple[np.ndarray, np.ndarray, n
     return masks[0], masks[1], masks[2]
 
 
+def _float_setting(text: str) -> float:
+    """``float(text)``, ValueError unless ``text`` is ASCII without "_":
+    float() alone also takes non-ASCII digits and "_" between digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
 def load_train_config(path: str) -> TrainConfig:
     """"key = value" lines, one per :class:`TrainConfig` field, read by its
-    type: an int by :func:`_int_setting`, a bool as on/off. Unknown keys,
-    values of the wrong type and values that TrainConfig rejects are parse
-    errors at the line that sets them."""
+    type: an int by :func:`_int_setting`, a float by :func:`_float_setting`,
+    a bool as on/off. Unknown keys, values of the wrong type and values that
+    TrainConfig rejects are parse errors at the line that sets them."""
     kinds = typing.get_type_hints(TrainConfig)
     cfg = TrainConfig()
     with open(path, encoding="utf-8") as f:
@@ -275,7 +283,7 @@ def load_train_config(path: str) -> TrainConfig:
                 parsed = value == "on"
             else:
                 try:
-                    parsed = _int_setting(value) if kind is int else kind(value)
+                    parsed = {int: _int_setting, float: _float_setting}.get(kind, kind)(value)
                 except ValueError as exc:
                     why = exc if kind is int else f"must be {kind.__name__}, got {value!r}"
                     raise ParseError(f"{key} {why}", i) from None

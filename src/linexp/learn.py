@@ -32,7 +32,7 @@ from .expansions import (
     LineExpansion,
     NormalizedOperator,
     ProjectionSet,
-    _scale_symmetric,
+    _symmetric_normalize,
     line_expand,
     projections,
     renormalized_operator,
@@ -459,8 +459,7 @@ def sampled_operator(
         shape=(n, n),
     )
     a_tilde.sort_indices()
-    d = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return NormalizedOperator(_scale_symmetric(a_tilde, d), le.w_v, le.w_e, s)
+    return NormalizedOperator(_symmetric_normalize(a_tilde), le.w_v, le.w_e, s)
 
 
 def train(

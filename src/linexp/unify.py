@@ -1,8 +1,7 @@
 """Numerical checks that the degraded line expansion subsumes the classic
 expansions: the w_e = 0 symmetric form equals the weighted-degree star
 adjacency, and on 2-regular hypergraphs it is half the simple-graph GCN
-adjacency. ``modified_clique_adjacency`` builds the clique adjacency with
-1/(delta(e)-1)^2 weights; no check here relates it to the line expansion.
+adjacency. Every adjacency is normalized by its own row sums.
 
 Every adjacency here is sparse and so is every comparison: the maximum
 difference is read off the stored entries of ``a - b``, so the checks run
@@ -20,12 +19,7 @@ from .expansions import (
     effective_vertex_adjacency,
     star_adjacency,
 )
-from .hypergraph import (
-    Hypergraph,
-    HypergraphError,
-    hyperedge_degrees,
-    incidence_matrix,
-)
+from .hypergraph import Hypergraph, HypergraphError
 from .reconstruction import UnlabeledGraph
 
 DEFAULT_TOL = 1e-12
@@ -71,39 +65,15 @@ class EquivalenceReport:
 def degraded_line_adjacency(h: Hypergraph) -> sp.csr_array:
     """Symmetric effective adjacency with w_e = 0: the 0-chain restriction
     A(u,v) = sum_e h(u,e)h(v,e)/delta(e)^2 over the weighted-degree norms."""
-    return effective_vertex_adjacency(h, w_v=1.0, w_e=0.0, form="symmetric")
-
-
-def modified_clique_adjacency(h: Hypergraph) -> sp.csr_array:
-    """Clique adjacency with weights 1/(delta(e)-1)^2 and the induced degree
-    d_c(u) = sum_e h(u,e)/(delta(e)-1); diagonal zero."""
-    delta = hyperedge_degrees(h).as_array().astype(np.float64)
-    singletons = np.flatnonzero(delta < 2)
-    if len(singletons):
-        raise HypergraphError(
-            f"hyperedges with delta(e) = 1 not allowed: {singletons.tolist()}"
-        )
-    H = incidence_matrix(h)
-    w = sp.csr_array(H @ sp.diags_array(1.0 / (delta - 1.0) ** 2, format="csr") @ H.T)
-    w.setdiag(0)
-    w.eliminate_zeros()
-    return _symmetric_normalize(w, H @ (1.0 / (delta - 1.0)))
+    return effective_vertex_adjacency(h, w_v=1.0, w_e=0.0)
 
 
 def simple_graph_adjacency(g: UnlabeledGraph) -> sp.csr_array:
     """GCN adjacency A(u,v) = 1/sqrt(d(u)d(v)) on each edge, zero diagonal."""
+    ij = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2).T
     n = g.num_nodes
-    deg = np.zeros(n)
-    for i, j in g.edges:
-        deg[i] += 1
-        deg[j] += 1
-    rows, cols, data = [], [], []
-    for i, j in g.edges:
-        val = 1.0 / np.sqrt(deg[i] * deg[j])
-        rows += [i, j]
-        cols += [j, i]
-        data += [val, val]
-    return sp.csr_array((np.asarray(data), (rows, cols)), shape=(n, n))
+    a = sp.csr_array((np.ones(2 * ij.shape[1]), np.hstack([ij, ij[::-1]])), shape=(n, n))
+    return _symmetric_normalize(a)
 
 
 def graph_as_hypergraph(g: UnlabeledGraph) -> Hypergraph:
@@ -129,7 +99,7 @@ def check_star_equivalence(
 ) -> EquivalenceReport:
     """Degraded LE vs the weighted-degree star adjacency, elementwise."""
     lhs = degraded_line_adjacency(h)
-    rhs = star_adjacency(h, normalizer="weighted")
+    rhs = star_adjacency(h)
     return EquivalenceReport(
         "degraded-line-expansion",
         "star-adjacency(weighted-degree)",

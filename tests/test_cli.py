@@ -312,6 +312,8 @@ class TestTrain:
              "split 'test' must list vertex ids in 0..11"),
             ("config", "layers = abc\n", "line 1: layers must be int, got 'abc'"),
             ("config", "seed = +1\n", "line 1: seed must be int, got '+1'"),
+            ("config", "lr = 1_0\n", "line 1: lr must be float, got '1_0'"),
+            ("config", "w_v = \u0663\n", "line 1: w_v must be float, got '\u0663'"),
             ("config", "activation = tanh\n",
              "line 1: activation must be one of ('relu', 'leaky-relu'), got 'tanh'"),
             ("config", "layers = 0\n", "line 1: layers must be at least 1, got 0"),

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 import networkx as nx
@@ -332,16 +335,26 @@ class TestCliqueAdjacency:
         a = lx.clique_adjacency(lx.Hypergraph(2, ((0,), (1,)))).toarray()
         assert not a.any()
 
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_equals_networkx_normalized_laplacian(self, h):
+        """Off the diagonal, the clique adjacency is minus networkx's
+        normalized Laplacian of the clique graph weighted by shared
+        hyperedges."""
+        shared = Counter(uv for verts in h.edges for uv in itertools.combinations(verts, 2))
+        g = nx.Graph()
+        g.add_nodes_from(range(h.num_vertices))
+        g.add_weighted_edges_from((u, v, w) for (u, v), w in shared.items())
+        lap = nx.normalized_laplacian_matrix(g, nodelist=range(h.num_vertices)).toarray()
+        off = ~np.eye(h.num_vertices, dtype=bool)
+        got = lx.clique_adjacency(h).toarray()
+        assert np.abs(got[off] + lap[off]).max(initial=0) <= 1e-12
+
 
 class TestStarAdjacency:
     def test_weighted_variant_worked_pair(self, worked):
-        a = lx.star_adjacency(worked, normalizer="weighted").toarray()
-        assert a[0, 1] == pytest.approx(13 / 30, abs=1e-15)
-
-    def test_plain_variant_worked_pair(self, worked):
         a = lx.star_adjacency(worked).toarray()
-        # numerator 13/36 over sqrt(2)*sqrt(2)
-        assert a[0, 1] == pytest.approx((13 / 36) / 2, abs=1e-15)
+        assert a[0, 1] == pytest.approx(13 / 30, abs=1e-15)
 
     def test_no_shared_hyperedge_is_zero(self, worked):
         a = lx.star_adjacency(worked).toarray()
@@ -350,33 +363,48 @@ class TestStarAdjacency:
 
     def test_symmetric_on_corpus(self):
         for h in random_corpus(200):
-            for kind in ("plain", "weighted"):
-                a = lx.star_adjacency(h, normalizer=kind).toarray()
-                assert np.allclose(a, a.T, atol=1e-15)
+            a = lx.star_adjacency(h).toarray()
+            assert np.allclose(a, a.T, atol=1e-15)
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_equals_closed_form(self, h):
+        """H diag(1/delta^2) H^T over sqrt(dw(u) dw(v)), computed densely;
+        an isolated vertex (dw = 0) gets a zero row."""
+        H = np.zeros((h.num_vertices, h.num_hyperedges))
+        for e, verts in enumerate(h.edges):
+            H[list(verts), e] = 1.0
+        delta = H.sum(axis=0)
+        dw = H @ (1.0 / delta)
+        scale = np.divide(1.0, np.sqrt(dw), out=np.zeros_like(dw), where=dw > 0)
+        expected = scale[:, None] * (H @ np.diag(1.0 / delta**2) @ H.T) * scale[None, :]
+        assert np.abs(lx.star_adjacency(h).toarray() - expected).max(initial=0) <= 1e-12
+
+    def test_empty_hyperedge_rejected(self):
+        with pytest.raises(lx.HypergraphError, match=r"^empty hyperedges \(1,\)$"):
+            lx.star_adjacency(lx.Hypergraph(2, ((0, 1), ())))
 
 
 class TestEffectiveVertexAdjacency:
     def test_degraded_symmetric_form(self, worked):
-        a = lx.effective_vertex_adjacency(worked, 1.0, 0.0, "symmetric").toarray()
+        a = lx.effective_vertex_adjacency(worked, 1.0, 0.0).toarray()
         assert a[0, 1] == pytest.approx(13 / 30, abs=1e-15)
-
-    def test_random_walk_rows_sum_to_one_when_we_zero(self):
-        for h in random_corpus(30):
-            if any(not h.vertex_edges(v) for v in range(h.num_vertices)):
-                continue
-            a = lx.effective_vertex_adjacency(h, 1.0, 0.0, "random-walk").toarray()
-            assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
     def test_degree_zero_vertex_rejected(self):
         h = lx.Hypergraph(3, ((0, 1),))
         with pytest.raises(lx.HypergraphError):
             lx.effective_vertex_adjacency(h, 1.0, 1.0)
 
+    @pytest.mark.parametrize("w_v, w_e", [(-1.0, 1.0), (1.0, -0.5)])
+    def test_negative_weight_rejected(self, worked, w_v, w_e):
+        with pytest.raises(lx.HypergraphError, match="^weights must be nonnegative$"):
+            lx.effective_vertex_adjacency(worked, w_v, w_e)
+
     def test_symmetric_form_symmetry_when_we_zero(self):
         for h in random_corpus(20):
             if any(not h.vertex_edges(v) for v in range(h.num_vertices)):
                 continue
-            a = lx.effective_vertex_adjacency(h, 1.0, 0.0, "symmetric").toarray()
+            a = lx.effective_vertex_adjacency(h, 1.0, 0.0).toarray()
             assert np.allclose(a, a.T, atol=1e-14)
 
 

@@ -409,6 +409,8 @@ class TestLoadTrainConfig:
             ("epochs = \u0663\n", "line 1: epochs must be int, got '\u0663'"),
             ("hidden = 2 3\n", "line 1: hidden must be int, got '2 3'"),
             ("epochs = 10\nlr = fast\n", "line 2: lr must be float, got 'fast'"),
+            ("lr = 1_0\n", "line 1: lr must be float, got '1_0'"),
+            ("w_v = \u0663\n", "line 1: w_v must be float, got '\u0663'"),
             ("activation = tanh\n", "line 1: activation must be one of ('relu', 'leaky-relu'), got 'tanh'"),
             ("layers = 0\n", "line 1: layers must be at least 1, got 0"),
             ("hidden = 0\n", "line 1: hidden must be at least 1, got 0"),

@@ -1,5 +1,6 @@
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +12,6 @@ from linexp.unify import (
     check_star_equivalence,
     degraded_line_adjacency,
     graph_as_hypergraph,
-    modified_clique_adjacency,
     simple_graph_adjacency,
 )
 from linexp.verify import random_connected_graph
@@ -80,28 +80,21 @@ class TestSimpleGraphFactor:
             g = random_connected_graph(n, float(rng.uniform(0.05, 0.4)), 500 + t)
             assert check_simple_graph_factor(g).passed
 
+    def test_gcn_adjacency_equals_networkx_normalized_laplacian(self):
+        """Off the diagonal, the GCN adjacency is minus networkx's normalized
+        Laplacian, isolated vertices and edgeless graphs included."""
+        rng = np.random.default_rng(31)
+        for t in range(120):
+            n = int(rng.integers(1, 16))
+            nxg = nx.gnp_random_graph(n, float(rng.uniform(0.0, 0.5)), seed=t)
+            lap = nx.normalized_laplacian_matrix(nxg, nodelist=range(n)).toarray()
+            got = simple_graph_adjacency(lx.UnlabeledGraph.from_edges(n, nxg.edges)).toarray()
+            off = ~np.eye(n, dtype=bool)
+            assert np.abs(got[off] + lap[off]).max(initial=0) <= 1e-12
+
     def test_edgeless_rejected(self):
         with pytest.raises(lx.HypergraphError):
             check_simple_graph_factor(lx.UnlabeledGraph(3, ()))
-
-
-class TestModifiedClique:
-    def test_worked_example_pair(self, worked):
-        a = modified_clique_adjacency(worked).toarray()
-        # vertices 0,1: weight 1/1 + 1/4 = 5/4 over sqrt(3/2)*sqrt(3/2)
-        assert a[0, 1] == pytest.approx(5 / 6, abs=1e-15)
-        assert np.diag(a).sum() == 0
-
-    def test_singleton_hyperedge_rejected(self):
-        with pytest.raises(lx.HypergraphError):
-            modified_clique_adjacency(lx.Hypergraph(2, ((0,), (0, 1))))
-
-    def test_symmetric(self):
-        for h in no_zero_degree_corpus(30):
-            if any(len(e) < 2 for e in h.edges):
-                continue
-            a = modified_clique_adjacency(h).toarray()
-            assert np.allclose(a, a.T, atol=1e-14)
 
 
 class TestGraphAsHypergraph:
