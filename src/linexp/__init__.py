@@ -62,7 +62,7 @@ from .learn import (
     value_hypergraph,
 )
 from .unify import (
-    EquivalenceReport,
+    CheckResult,
     check_simple_graph_factor,
     check_star_equivalence,
     degraded_line_adjacency,

@@ -135,9 +135,6 @@ class NormalizedOperator:
     matrix (the sampled operator, which need not be symmetric)."""
 
     matrix: sp.csr_array
-    w_v: float
-    w_e: float
-    self_loop_weight: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +152,6 @@ class FactoredOperator:
     d_inv_sqrt: np.ndarray   # D^{-1/2} per line node
     w_v: float
     w_e: float
-    self_loop_weight: float
 
     @property
     def T(self) -> "FactoredOperator":
@@ -186,7 +182,9 @@ def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpans
 
 
 def _check_weights(w_v: float, w_e: float) -> None:
-    """The similarity weights are nonnegative and not both zero."""
+    """The similarity weights are finite, nonnegative and not both zero."""
+    if not np.isfinite((w_v, w_e)).all():
+        raise HypergraphError("weights must be finite")
     if w_v < 0 or w_e < 0:
         raise HypergraphError("weights must be nonnegative")
     if w_v == 0 and w_e == 0:
@@ -285,7 +283,6 @@ def renormalized_operator(le: LineExpansion) -> FactoredOperator:
         1.0 / np.sqrt(le.w_e * d + le.w_v * delta),
         le.w_v,
         le.w_e,
-        le.w_v + le.w_e,
     )
 
 

@@ -86,7 +86,6 @@ class DegreeVector:
     """Per-vertex d(v) or per-hyperedge delta(e) counts."""
 
     values: tuple[int, ...]
-    kind: str  # "vertex-degree" | "hyperedge-degree"
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.int64)
@@ -102,14 +101,12 @@ class ValidationReport:
 
 def vertex_degrees(h: Hypergraph) -> DegreeVector:
     """d(v) = number of hyperedges containing v."""
-    return DegreeVector(
-        tuple(len(h.vertex_edges(v)) for v in range(h.num_vertices)), "vertex-degree"
-    )
+    return DegreeVector(tuple(len(h.vertex_edges(v)) for v in range(h.num_vertices)))
 
 
 def hyperedge_degrees(h: Hypergraph) -> DegreeVector:
     """delta(e) = number of vertices in hyperedge e."""
-    return DegreeVector(tuple(len(e) for e in h.edges), "hyperedge-degree")
+    return DegreeVector(tuple(len(e) for e in h.edges))
 
 
 def incidence_matrix(h: Hypergraph) -> sp.csr_array:

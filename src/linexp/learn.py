@@ -75,6 +75,8 @@ class Dataset:
         for m in (self.train_mask, self.val_mask, self.test_mask):
             if m.shape != (n,):
                 raise ValueError("mask shape mismatch")
+        if self.labels.shape != (n,):
+            raise ValueError("labels shape mismatch")
         if (
             (self.train_mask & self.val_mask).any()
             or (self.train_mask & self.test_mask).any()
@@ -87,6 +89,10 @@ class Dataset:
             raise ValueError("every train vertex needs a label")
         if self.features.ndim != 2 or self.features.shape[1] < 1:
             raise ValueError("features must be |V| x d_i with d_i >= 1")
+        if self.num_classes < 1:
+            raise ValueError("num_classes must be at least 1")
+        if ((self.labels < -1) | (self.labels >= self.num_classes)).any():
+            raise ValueError(f"every label must be -1 or in 0..{self.num_classes - 1}")
 
 
 @dataclass
@@ -112,7 +118,6 @@ class SamplingConfig:
 class SampledNeighborhood:
     """Per-kind neighbor sample with the |N|/threshold unbiasedness scale."""
 
-    node: int
     vertex_similar: np.ndarray
     vertex_scale: float
     hyperedge_similar: np.ndarray
@@ -425,7 +430,7 @@ def sample_neighbors(
     for of, threshold in zip(le.pair_arrays, (cfg.delta_v, cfg.delta_e)):
         _, cols, scale = _draw_arcs(of, rows, threshold, rng)
         picked += [np.sort(cols), float(scale[0]) if scale.size else 1.0]
-    return SampledNeighborhood(node, *picked)
+    return SampledNeighborhood(*picked)
 
 
 def sampled_operator(
@@ -459,7 +464,7 @@ def sampled_operator(
         shape=(n, n),
     )
     a_tilde.sort_indices()
-    return NormalizedOperator(_symmetric_normalize(a_tilde), le.w_v, le.w_e, s)
+    return NormalizedOperator(_symmetric_normalize(a_tilde))
 
 
 def train(
@@ -602,11 +607,12 @@ def load_zoo(path: str, seed: int = 0) -> tuple[Hypergraph, Dataset]:
                 continue
             fields = line.strip().split(",")[1:]
             try:
-                rows.append(_int_fields(" ".join(fields)))
+                row = _int_fields(" ".join(fields))
             except ValueError:
-                rows.append([])
-            if not len(rows[-1]) == len(fields) == 17 or max(map(abs, rows[-1])) >= 1 << 63:
+                row = []
+            if not (len(row) == len(fields) == 17 and -(1 << 63) <= min(row) <= max(row) < 1 << 63):
                 raise ParseError("zoo row must be a name and 17 int64 integers", i)
+            rows.append(row)
     table = np.asarray(rows, dtype=np.int64)
     h = value_hypergraph(table[:, :16])
     n = len(rows)

@@ -5,11 +5,11 @@ adjacency. Every adjacency is normalized by its own row sums.
 
 Every adjacency here is sparse and so is every comparison: the maximum
 difference is read off the stored entries of ``a - b``, so the checks run
-at any size."""
+at any size. Each check returns a :class:`CheckResult`, the verdict record of
+every check :mod:`linexp.verify` runs."""
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,40 +26,35 @@ DEFAULT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
-    lhs: str
-    rhs: str
-    max_abs_diff: float
-    tolerance: float
-    num_vertices: int
-    num_hyperedges: int
-    seed: int | None = None
+class CheckResult:
+    """A check's verdict. A float check sets ``max_abs_diff``, the largest
+    elementwise difference it found. Over a corpus, ``instances`` counts the
+    instances checked (up to and including the first failure) and
+    ``seconds`` is the time they took; neither takes part in comparisons, so
+    two runs of the same suite compare equal."""
 
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_diff <= self.tolerance
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "max_abs_diff": self.max_abs_diff,
-                "tolerance": self.tolerance,
-                "pass": self.passed,
-                "num_vertices": self.num_vertices,
-                "num_hyperedges": self.num_hyperedges,
-                "seed": self.seed,
-            }
-        )
+    name: str
+    passed: bool
+    detail: str = ""
+    instances: int = field(default=0, compare=False)
+    seconds: float = field(default=0.0, compare=False)
+    max_abs_diff: float | None = None
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (
-            f"[{status}] {self.lhs} vs {self.rhs}: max|diff| = "
-            f"{self.max_abs_diff:.3e} (tol {self.tolerance:g}, "
-            f"|V|={self.num_vertices}, |E|={self.num_hyperedges})"
-        )
+        line = f"[{status}] {self.name}"
+        return f"{line}: {self.detail}" if self.detail else line
+
+
+def _compared(name: str, lhs: str, rhs: str, diff: float, nv: int, ne: int) -> CheckResult:
+    """The verdict on ``lhs`` vs ``rhs``: they agree when ``diff``, their
+    largest difference, is at most DEFAULT_TOL."""
+    return CheckResult(
+        name,
+        diff <= DEFAULT_TOL,
+        f"{lhs} vs {rhs}: max|diff| = {diff:.3e} (tol {DEFAULT_TOL:g}, |V|={nv}, |E|={ne})",
+        max_abs_diff=diff,
+    )
 
 
 def degraded_line_adjacency(h: Hypergraph) -> sp.csr_array:
@@ -94,26 +89,21 @@ def _max_abs_diff(
     return float(np.abs(data).max()) if data.size else 0.0
 
 
-def check_star_equivalence(
-    h: Hypergraph, seed: int | None = None
-) -> EquivalenceReport:
+def check_star_equivalence(h: Hypergraph) -> CheckResult:
     """Degraded LE vs the weighted-degree star adjacency, elementwise."""
     lhs = degraded_line_adjacency(h)
     rhs = star_adjacency(h)
-    return EquivalenceReport(
+    return _compared(
+        "star-equivalence",
         "degraded-line-expansion",
         "star-adjacency(weighted-degree)",
         _max_abs_diff(lhs, rhs),
-        DEFAULT_TOL,
         h.num_vertices,
         h.num_hyperedges,
-        seed,
     )
 
 
-def check_simple_graph_factor(
-    g: UnlabeledGraph, seed: int | None = None
-) -> EquivalenceReport:
+def check_simple_graph_factor(g: UnlabeledGraph) -> CheckResult:
     """Degraded LE of the 2-regular hypergraph vs half the GCN adjacency.
 
     Compared off-diagonal: the GCN adjacency is defined with a zero
@@ -124,12 +114,11 @@ def check_simple_graph_factor(
     h = graph_as_hypergraph(g)
     lhs = degraded_line_adjacency(h)
     rhs = sp.csr_array(simple_graph_adjacency(g) * 0.5)
-    return EquivalenceReport(
+    return _compared(
+        "simple-graph-factor",
         "degraded-line-expansion(2-regular)",
         "gcn-adjacency/2",
         _max_abs_diff(lhs, rhs, skip_diagonal=True),
-        DEFAULT_TOL,
         g.num_nodes,
         len(g.edges),
-        seed,
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,26 +42,7 @@ from .reconstruction import (
     krausz_reconstruct,
     strip_labels,
 )
-from .unify import check_simple_graph_factor, check_star_equivalence
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """A check's verdict. Over a corpus, ``instances`` counts the instances
-    checked (up to and including the first failure) and ``seconds`` is the
-    time they took; neither takes part in comparisons, so two runs of the
-    same suite compare equal."""
-
-    name: str
-    passed: bool
-    detail: str = ""
-    instances: int = field(default=0, compare=False)
-    seconds: float = field(default=0.0, compare=False)
-
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        line = f"[{status}] {self.name}"
-        return f"{line}: {self.detail}" if self.detail else line
+from .unify import CheckResult, check_simple_graph_factor, check_star_equivalence
 
 
 def check_observation_identities(h: Hypergraph, le: LineExpansion) -> CheckResult:
@@ -197,16 +177,6 @@ def _first_failure(
     return CheckResult(name, True, pass_detail, len(instances), time.perf_counter() - start)
 
 
-def _reported(check: Callable) -> Callable:
-    """A :mod:`linexp.unify` check, its report as the detail."""
-
-    def run(instance) -> CheckResult:
-        report = check(instance)
-        return CheckResult(report.lhs, report.passed, str(report))
-
-    return run
-
-
 def run_verification(
     trials: int = 200,
     seed: int = 1,
@@ -241,8 +211,7 @@ def run_verification(
     no_isolated = [
         (h, s) for h, _, s in corpus if all(h.vertex_edges(v) for v in range(h.num_vertices))
     ]
-    star = _reported(check_star_equivalence)
-    results.append(_first_failure("star-equivalence", no_isolated, star))
+    results.append(_first_failure("star-equivalence", no_isolated, check_star_equivalence))
 
     if hypergraph is None:
         rng2 = np.random.default_rng(seed + 7)
@@ -250,8 +219,7 @@ def run_verification(
         for t in range(min(trials, 50)):
             n, p = int(rng2.integers(2, 30)), float(rng2.uniform(0.05, 0.4))
             graphs.append((random_connected_graph(n, p, seed + t), seed + t))
-        factor = _reported(check_simple_graph_factor)
-        results.append(_first_failure("simple-graph-factor", graphs, factor))
+        results.append(_first_failure("simple-graph-factor", graphs, check_simple_graph_factor))
 
     if reconstruct:
         if hypergraph is None:

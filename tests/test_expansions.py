@@ -251,7 +251,6 @@ class TestClosedFormOracle:
             scale = 1 / np.sqrt(a_tilde.sum(axis=1))
             expected = scale[:, None] * a_tilde * scale[None, :]
             op = lx.renormalized_operator(le)
-            assert op.self_loop_weight == w_v + w_e
             assert np.abs(op.matrix.toarray() - expected).max() <= 1e-12
 
     @settings(max_examples=150, deadline=None)
@@ -399,6 +398,14 @@ class TestEffectiveVertexAdjacency:
     def test_negative_weight_rejected(self, worked, w_v, w_e):
         with pytest.raises(lx.HypergraphError, match="^weights must be nonnegative$"):
             lx.effective_vertex_adjacency(worked, w_v, w_e)
+
+    @pytest.mark.parametrize(
+        "w_v, w_e", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)]
+    )
+    @pytest.mark.parametrize("build", [lx.line_expand, lx.effective_vertex_adjacency])
+    def test_non_finite_weight_rejected(self, worked, build, w_v, w_e):
+        with pytest.raises(lx.HypergraphError, match="^weights must be finite$"):
+            build(worked, w_v, w_e)
 
     def test_symmetric_form_symmetry_when_we_zero(self):
         for h in random_corpus(20):

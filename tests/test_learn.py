@@ -171,6 +171,24 @@ class TestDataset:
             lx.Dataset(np.ones((n, 1)), np.zeros(n, dtype=int), zeros, zeros,
                        np.ones(n, dtype=bool), 2)
 
+    @pytest.mark.parametrize(
+        "labels, num_classes, message",
+        [
+            ([0, 1], 2, "^labels shape mismatch$"),
+            ([[0], [1], [0]], 2, "^labels shape mismatch$"),
+            ([0, 2, -1], 2, r"^every label must be -1 or in 0\.\.1$"),
+            ([0, 1, -2], 2, r"^every label must be -1 or in 0\.\.1$"),
+            ([0, 0, -1], 0, "^num_classes must be at least 1$"),
+        ],
+        ids=["short", "two-dimensional", "train-label-too-large", "below-minus-one",
+             "no-class"],
+    )
+    def test_labels_checked(self, labels, num_classes, message):
+        train = np.array([True, True, False])
+        zeros = np.zeros(3, dtype=bool)
+        with pytest.raises(ValueError, match=message):
+            lx.Dataset(np.ones((3, 1)), np.array(labels), train, zeros, zeros, num_classes)
+
 
 class TestForwardBackward:
     def test_softmax_rows_sum_to_one_and_shift_safe(self):
@@ -618,10 +636,17 @@ class TestLoadZoo:
             ROW.format(cls="").replace(",1,0,0,", ",1,,0,"),
             ROW.format(cls="9" * 5000),
             "aardvark\n",
+            ROW.format(cls=1 << 63),
         ],
-        ids=["short", "long", "plus", "underscore", "space", "empty", "huge", "name-only"],
+        ids=["short", "long", "plus", "underscore", "space", "empty", "huge", "name-only",
+             "int64-max-plus-one"],
     )
     def test_bad_row_is_a_parse_error_naming_its_line(self, tmp_path, row):
         path = self.write(tmp_path, self.ROW.format(cls=1) + row)
         with pytest.raises(lx.ParseError, match=r"^line 2: zoo row must be a name and 17 int64"):
             lx.load_zoo(path)
+
+    def test_int64_minimum_is_accepted(self, tmp_path):
+        row = self.ROW.format(cls=1).replace(",4,", f",{-(1 << 63)},")
+        _, ds = lx.load_zoo(self.write(tmp_path, row))
+        assert ds.features[0, 12] == -(2.0**63)

@@ -1,5 +1,3 @@
-import json
-
 import networkx as nx
 import numpy as np
 import pytest
@@ -42,12 +40,18 @@ class TestStarEquivalence:
         with pytest.raises(lx.HypergraphError, match=r"^empty hyperedges \(1,\)$"):
             check_star_equivalence(lx.Hypergraph(2, ((0,), ())))
 
-    def test_report_json(self, worked):
-        rep = check_star_equivalence(worked, seed=4)
-        payload = json.loads(rep.to_json())
-        assert payload["pass"] is True
-        assert payload["seed"] == 4
-        assert payload["num_vertices"] == 5
+    def test_result_carries_verify_name_and_difference(self):
+        for h in no_zero_degree_corpus(20):
+            rep = check_star_equivalence(h)
+            assert isinstance(rep, lx.CheckResult)
+            assert rep.name == "star-equivalence"
+            diff = _max_abs_diff(degraded_line_adjacency(h), lx.star_adjacency(h))
+            assert rep.max_abs_diff == diff
+            assert rep.detail == (
+                f"degraded-line-expansion vs star-adjacency(weighted-degree): "
+                f"max|diff| = {diff:.3e} (tol 1e-12, |V|={h.num_vertices}, "
+                f"|E|={h.num_hyperedges})"
+            )
 
 
 class TestSimpleGraphFactor:
@@ -95,6 +99,17 @@ class TestSimpleGraphFactor:
     def test_edgeless_rejected(self):
         with pytest.raises(lx.HypergraphError):
             check_simple_graph_factor(lx.UnlabeledGraph(3, ()))
+
+    def test_result_carries_verify_name_and_difference(self):
+        for t in range(20):
+            g = random_connected_graph(3 + t, 0.3, 700 + t)
+            rep = check_simple_graph_factor(g)
+            assert isinstance(rep, lx.CheckResult)
+            assert rep.name == "simple-graph-factor"
+            lhs = degraded_line_adjacency(graph_as_hypergraph(g))
+            rhs = sp.csr_array(simple_graph_adjacency(g) * 0.5)
+            assert rep.max_abs_diff == _max_abs_diff(lhs, rhs, skip_diagonal=True)
+            assert rep.detail.startswith("degraded-line-expansion(2-regular) vs gcn-adjacency/2: ")
 
 
 class TestGraphAsHypergraph:

@@ -8,10 +8,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import linexp as lx
-from linexp import verify
+from linexp import unify, verify
 from linexp.cli import main
 from linexp.reconstruction import NotALineExpansionError
-from linexp.unify import DEFAULT_TOL, EquivalenceReport, check_star_equivalence
+from linexp.unify import CheckResult, check_star_equivalence
 from linexp.verify import run_verification
 
 from conftest import WORKED_EXAMPLE_TEXT
@@ -108,7 +108,8 @@ def test_one_line_expansion_per_instance(monkeypatch, kwargs, instances):
 
 
 def _failing_report(x):
-    return EquivalenceReport("lhs", "rhs", 1.0, DEFAULT_TOL, 0, 0)
+    detail = "lhs vs rhs: max|diff| = 1.000e+00 (tol 1e-12, |V|=0, |E|=0)"
+    return CheckResult("lhs", False, detail, max_abs_diff=1.0)
 
 
 def _not_a_line_expansion(graph):
@@ -120,9 +121,9 @@ def _not_a_line_expansion(graph):
     [
         ("krausz_reconstruct", _not_a_line_expansion, "unlabeled-round-trip", "boom"),
         ("check_star_equivalence", _failing_report, "star-equivalence",
-         "[FAIL] lhs vs rhs: max|diff| = 1.000e+00 (tol 1e-12, |V|=0, |E|=0)"),
+         "lhs vs rhs: max|diff| = 1.000e+00 (tol 1e-12, |V|=0, |E|=0)"),
         ("check_simple_graph_factor", _failing_report, "simple-graph-factor",
-         "[FAIL] lhs vs rhs: max|diff| = 1.000e+00 (tol 1e-12, |V|=0, |E|=0)"),
+         "lhs vs rhs: max|diff| = 1.000e+00 (tol 1e-12, |V|=0, |E|=0)"),
     ],
 )
 def test_failure_detail_names_the_seed(monkeypatch, target, replacement, name, detail):
@@ -135,6 +136,17 @@ def test_failure_detail_names_the_seed(monkeypatch, target, replacement, name, d
     assert seed is not None, res.detail
     assert 1_000_000 <= int(seed.group(1)) < 1_000_000 + 40
     assert str(res) == f"[FAIL] {name}: {res.detail}"
+
+
+def test_a_failing_float_check_says_fail_once(monkeypatch):
+    monkeypatch.setattr(unify, "star_adjacency", lambda h: 2 * lx.star_adjacency(h))
+    res = {r.name: r for r in run_verification(40, 1)}["star-equivalence"]
+    assert not res.passed
+    assert str(res).count("[FAIL]") == 1
+    assert str(res).startswith(
+        "[FAIL] star-equivalence: degraded-line-expansion vs "
+        "star-adjacency(weighted-degree): max|diff| = "
+    )
 
 
 def test_failure_detail_of_one_input_has_no_seed(monkeypatch, worked):
