@@ -9,7 +9,12 @@ The full operator is applied in its factored form (see
 :class:`FactoredOperator`), the sampled one as a CSR matrix; layers only use
 ``op @ h`` and ``op.T @ g``. Each layer propagates at min(d_in, d_out)
 columns: a layer that narrows (d_out < d_in) multiplies by theta before the
-operator, as in Kipf & Welling's GCN, the others after it.
+operator, as in Kipf & Welling's GCN, the others after it. Layer 0's operand
+(``op @ P_v x``, or ``P_v x`` when it narrows) holds no parameter, so
+:func:`train` builds it once per operator, as SGC does (Wu et al., ICML
+2019), and every forward on that operator reuses it. ``TrainReport`` records
+each epoch's loss, validation accuracy, gradient norm, seconds and sampled
+nnz.
 
 With sampling on, each epoch draws every line node's neighbor sample at once,
 over the line nodes grouped by vertex and by hyperedge: a node whose group
@@ -183,13 +188,15 @@ class Model:
 class TrainReport:
     """Per-epoch records (one entry per epoch run) and the final result.
 
-    ``epoch_seconds`` times each epoch's training step and validation
-    forward; ``sampled_arcs`` is the sampled operator's nnz per epoch, 0 on
-    full-batch epochs.
+    ``grad_norms`` is the Euclidean norm of each epoch's gradient over all
+    layers, sqrt(sum_k |dL/dtheta_k|^2); ``epoch_seconds`` times each
+    epoch's training step and validation forward; ``sampled_arcs`` is the
+    sampled operator's nnz per epoch, 0 on full-batch epochs.
     """
 
     losses: list[float]
     val_accuracies: list[float]
+    grad_norms: list[float]
     epoch_seconds: list[float]
     sampled_arcs: list[int]
     test_accuracy: float
@@ -248,6 +255,15 @@ def _theta_first(theta: np.ndarray) -> bool:
     return theta.shape[1] < theta.shape[0]
 
 
+def _operand(
+    op: sp.csr_array | FactoredOperator, theta: np.ndarray, h: np.ndarray
+) -> np.ndarray:
+    """The array a layer multiplies by theta: h if the layer narrows (it
+    computes op @ (h @ theta)), op @ h otherwise (it computes
+    (op @ h) @ theta)."""
+    return h if _theta_first(theta) else op @ h
+
+
 def conv_forward(
     op: sp.csr_array | FactoredOperator,
     theta: np.ndarray,
@@ -256,16 +272,13 @@ def conv_forward(
     leaky_slope: float,
     apply_activation: bool,
     layer_index: int = 0,
+    propagated: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One convolution layer, s = op @ h @ theta. Returns (output, cached,
-    preactivation), where cached is h if the layer narrows (it computes
-    op @ (h @ theta)) and op @ h otherwise (it computes (op @ h) @ theta)."""
-    if _theta_first(theta):
-        m = h
-        s = op @ (h @ theta)
-    else:
-        m = op @ h
-        s = m @ theta
+    preactivation), where cached is the layer's operand (see
+    :func:`_operand`). With ``propagated``, ``h`` is that operand already."""
+    m = h if propagated else _operand(op, theta, h)
+    s = op @ (m @ theta) if _theta_first(theta) else m @ theta
     out = _activate(s, activation, leaky_slope) if apply_activation else s
     if not np.isfinite(out).all():
         raise NumericError(layer_index)
@@ -273,16 +286,22 @@ def conv_forward(
 
 
 def forward(
-    model: Model, op: sp.csr_array | FactoredOperator, p: ProjectionSet, x: np.ndarray
+    model: Model,
+    op: sp.csr_array | FactoredOperator,
+    p: ProjectionSet,
+    x: np.ndarray,
+    operand: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Full pipeline; caches conv_forward's (cached, preactivation) per
-    layer."""
-    h = feature_project(p, x)
+    layer. ``operand``, if given, is layer 0's operand on ``op`` for these
+    features, ``_operand(op, model.thetas[0], feature_project(p, x))``."""
+    h = feature_project(p, x) if operand is None else operand
     caches = []
     last = len(model.thetas) - 1
     for k, theta in enumerate(model.thetas):
         h, m, s = conv_forward(
-            op, theta, h, model.activation, model.leaky_slope, k != last, k
+            op, theta, h, model.activation, model.leaky_slope, k != last, k,
+            k == 0 and operand is not None,
         )
         caches.append((m, s))
     return representation_project(p, h), caches
@@ -486,10 +505,14 @@ def train(
         x.shape[1], config.hidden, dataset.num_classes, config.layers, rng
     )
     model = Model(thetas, config.w_v, config.w_e, config.activation, config.leaky_slope)
+    # Layer 0's operand holds no parameter: build it once per operator.
+    h0 = feature_project(p, x)
+    full_operand = _operand(full_op, thetas[0], h0)
 
     scfg = SamplingConfig(config.delta_v, config.delta_e, config.seed)
     losses: list[float] = []
     val_accs: list[float] = []
+    grad_norms: list[float] = []
     epoch_seconds: list[float] = []
     sampled_arcs: list[int] = []
     best_val = -1.0
@@ -502,9 +525,9 @@ def train(
         # holds the full-operator logits and caches of the current model.
         if config.sampling:
             op = sampled_operator(le, scfg, rng).matrix
-            logits, caches = forward(model, op, p, x)
+            logits, caches = forward(model, op, p, x, _operand(op, thetas[0], h0))
         elif epoch == 0:
-            logits, caches = forward(model, op, p, x)
+            logits, caches = forward(model, op, p, x, full_operand)
         sampled_arcs.append(op.nnz if config.sampling else 0)
         loss = cross_entropy(logits, dataset.labels, dataset.train_mask)
         if config.weight_decay:
@@ -526,8 +549,9 @@ def train(
         for t, g in zip(model.thetas, grads):
             t -= config.lr * g
         losses.append(loss)
+        grad_norms.append(math.sqrt(sum(float((g**2).sum()) for g in grads)))
 
-        logits, caches = forward(model, full_op, p, x)
+        logits, caches = forward(model, full_op, p, x, full_operand)
         val = accuracy(logits, dataset.labels, dataset.val_mask)
         val_accs.append(val)
         epoch_seconds.append(time.perf_counter() - epoch_start)
@@ -542,11 +566,12 @@ def train(
                     break
 
     final = best_model if dataset.val_mask.any() else model
-    final_logits, _ = forward(final, full_op, p, x)
+    final_logits, _ = forward(final, full_op, p, x, full_operand)
     test_acc = accuracy(final_logits, dataset.labels, dataset.test_mask)
     report = TrainReport(
         losses=losses,
         val_accuracies=val_accs,
+        grad_norms=grad_norms,
         epoch_seconds=epoch_seconds,
         sampled_arcs=sampled_arcs,
         test_accuracy=test_acc,
@@ -599,7 +624,8 @@ def value_hypergraph(table: np.ndarray) -> Hypergraph:
 def load_zoo(path: str, seed: int = 0) -> tuple[Hypergraph, Dataset]:
     """UCI Zoo: name, 16 categorical attributes, class in 1..7. Hyperedges
     group animals sharing an attribute value; split is 66 train / 35 test.
-    A row that is not a name and 17 int64 integers is a ``ParseError``."""
+    A row that is not a name and 17 int64 integers, or whose class is below
+    1, is a ``ParseError``."""
     rows = []
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
@@ -612,6 +638,8 @@ def load_zoo(path: str, seed: int = 0) -> tuple[Hypergraph, Dataset]:
                 row = []
             if not (len(row) == len(fields) == 17 and -(1 << 63) <= min(row) <= max(row) < 1 << 63):
                 raise ParseError("zoo row must be a name and 17 int64 integers", i)
+            if row[16] < 1:
+                raise ParseError(f"zoo class must be at least 1, got {row[16]}", i)
             rows.append(row)
     table = np.asarray(rows, dtype=np.int64)
     h = value_hypergraph(table[:, :16])

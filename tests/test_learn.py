@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -79,6 +81,28 @@ RECORDED_SAMPLED = {
     "val_accuracies": [0, 0, 1 / 6, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3,
                        1 / 2, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3],
     "test_accuracy": 0.75,
+}
+
+
+# recorded_config with hidden=2: layer 0 narrows its 3 features to 2
+# columns, so it multiplies by theta before the operator.
+RECORDED_NARROW_FULL = {
+    "losses": [
+        1.3539775814019428, 1.1776842011323774, 1.1157153828238093,
+        1.0851742986719137, 1.0643222766131015, 1.0429563985338117,
+        1.021794503354301,
+    ],
+    "val_accuracies": [1 / 2, 1 / 3, 0, 0, 0, 0, 0],
+    "test_accuracy": 0.25,
+}
+RECORDED_NARROW_SAMPLED = {
+    "losses": [
+        1.3400008275197384, 1.1892664240171835, 1.1159388827135264,
+        1.0892054348071731, 1.0670339862086557, 1.0544089422545007,
+        1.02280501036934,
+    ],
+    "val_accuracies": [1 / 2, 1 / 3, 0, 0, 0, 0, 0],
+    "test_accuracy": 0.25,
 }
 
 
@@ -515,6 +539,58 @@ class TestTrain:
         assert report.val_accuracies == expected["val_accuracies"]
         assert report.test_accuracy == expected["test_accuracy"]
 
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_recorded_run_with_narrowing_first_layer(self, sampling):
+        # Recorded with layer 0's operand rebuilt in every forward.
+        config = replace(recorded_config(sampling), hidden=2)
+        _, report = lx.train(*recorded_problem(), config)
+        expected = RECORDED_NARROW_SAMPLED if sampling else RECORDED_NARROW_FULL
+        assert report.losses == pytest.approx(expected["losses"], rel=1e-12)
+        assert report.val_accuracies == pytest.approx(expected["val_accuracies"], rel=1e-12)
+        assert report.test_accuracy == expected["test_accuracy"]
+
+    def test_first_layer_operand_built_once(self, monkeypatch):
+        # Widths d_in = 5, hidden = 8 and 3 classes all differ, so an
+        # application of the full operator to 5 columns is layer 0's operand.
+        h, ds = recorded_problem()
+        extra = np.random.default_rng(1).normal(size=(24, 2))
+        ds = lx.Dataset(np.hstack([ds.features, extra]), ds.labels, ds.train_mask,
+                        ds.val_mask, ds.test_mask, 3)
+        widths = []
+
+        class CountingOperator(lx.FactoredOperator):
+            def __matmul__(self, h):
+                widths.append(h.shape[1])
+                return super().__matmul__(h)
+
+        def counting_operator(le):
+            op = renormalized_operator(le)
+            return CountingOperator(op.p_v, op.p_e, op.d_inv_sqrt, op.w_v, op.w_e)
+
+        monkeypatch.setattr(lx.learn, "renormalized_operator", counting_operator)
+        config = lx.TrainConfig(epochs=6, hidden=8, seed=0)
+        lx.train(h, ds, config)
+        assert widths.count(5) == 1
+        # Each of the 6 + 2 forwards still applies it at layer 1, to 3 columns.
+        assert widths.count(3) >= config.epochs + 2
+
+    def test_grad_norms(self):
+        h, ds = recorded_problem()
+        config = recorded_config(False)
+        _, report = lx.train(h, ds, config)
+        assert len(report.grad_norms) == len(report.losses)
+        assert report.to_dict()["grad_norms"] == report.grad_norms
+        # The first step's gradient is one backward on the initial model.
+        thetas = init_params(3, config.hidden, 3, config.layers,
+                             np.random.default_rng(config.seed))
+        model = Model(thetas, config.w_v, config.w_e, config.activation)
+        le = line_expand(h, config.w_v, config.w_e)
+        op, p = renormalized_operator(le), projections(h)
+        logits, caches = forward(model, op, p, ds.features)
+        grads = backward(model, op, p, logits, caches, ds.labels, ds.train_mask)
+        norm = np.linalg.norm(np.concatenate([g.ravel() for g in grads]))
+        assert report.grad_norms[0] == pytest.approx(norm, rel=1e-12)
+
     @pytest.mark.parametrize("sampling, calls", [(False, 22), (True, 41)])
     def test_forwards_per_call(self, monkeypatch, sampling, calls):
         # Full batch: one forward per epoch plus the first and the final
@@ -645,6 +721,13 @@ class TestLoadZoo:
         path = self.write(tmp_path, self.ROW.format(cls=1) + row)
         with pytest.raises(lx.ParseError, match=r"^line 2: zoo row must be a name and 17 int64"):
             lx.load_zoo(path)
+
+    @pytest.mark.parametrize("cls", [0, -1, -(1 << 63)])
+    def test_class_below_one_is_a_parse_error(self, tmp_path, cls):
+        path = self.write(tmp_path, self.ROW.format(cls=1) + self.ROW.format(cls=cls))
+        with pytest.raises(lx.ParseError) as exc:
+            lx.load_zoo(path)
+        assert str(exc.value) == f"line 2: zoo class must be at least 1, got {cls}"
 
     def test_int64_minimum_is_accepted(self, tmp_path):
         row = self.ROW.format(cls=1).replace(",4,", f",{-(1 << 63)},")
