@@ -6,13 +6,11 @@ from .hypergraph import (
     Hypergraph,
     HypergraphError,
     ParseError,
-    ValidationReport,
     hyperedge_degrees,
     incidence_matrix,
     parse_hypergraph,
     random_hypergraph,
     render_hypergraph,
-    validate,
     vertex_degrees,
 )
 from .expansions import (
@@ -25,7 +23,6 @@ from .expansions import (
     adjacency_from_projections,
     block_gram,
     clique_adjacency,
-    effective_vertex_adjacency,
     line_expand,
     pair_groups,
     projections,

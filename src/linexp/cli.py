@@ -1,6 +1,7 @@
 """Command-line interface: expand, stats, verify, train, reconstruct.
 
-Exit codes: 0 success, 1 check/validation failure, 2 usage or I/O error.
+Exit codes: 0 success, 1 check/validation failure or out of memory, 2 usage
+or I/O error.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import formats
-from .expansions import clique_adjacency, line_expand, size_formulas, star_expansion_graph
+from .expansions import line_expand, size_formulas, star_expansion_graph
 from .hypergraph import (
     Hypergraph,
     HypergraphError,
@@ -58,6 +59,19 @@ _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "non-negative")
 
 
+def _clique_edges(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """The clique-expansion edges (r, c), r < c, as the arrays of their r
+    and of their c, sorted: the upper triangle of H H^T, which is nonzero
+    exactly where two vertices share a hyperedge."""
+    H = incidence_matrix(h)
+    shared = sp.csr_array(H @ H.T)
+    # Canonical CSR: each row's columns sorted and distinct.
+    shared.sum_duplicates()
+    rows = np.repeat(np.arange(shared.shape[0]), np.diff(shared.indptr))
+    upper = rows < shared.indices
+    return rows[upper], shared.indices[upper]
+
+
 def cmd_expand(args) -> int:
     h = _read_hypergraph(args.input)
     if args.mode == "line":
@@ -65,14 +79,8 @@ def cmd_expand(args) -> int:
     elif args.mode == "star":
         text = formats._render_dump(*star_expansion_graph(h))
     else:
-        adj = clique_adjacency(h)
-        # Canonical CSR: each row's columns sorted and distinct, so its
-        # upper triangle lists the edges (r, c), r < c, in sorted order.
-        adj.sum_duplicates()
-        rows = np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr))
-        upper = rows < adj.indices
-        edges = list(zip(rows[upper].tolist(), adj.indices[upper].tolist()))
-        text = formats._render_dump(h.num_vertices, edges)
+        rows, cols = _clique_edges(h)
+        text = formats._render_dump(h.num_vertices, list(zip(rows.tolist(), cols.tolist())))
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(text)
     return EXIT_OK
@@ -83,10 +91,7 @@ def cmd_stats(args) -> int:
     nv, ne = h.num_vertices, h.num_hyperedges
     d = vertex_degrees(h).as_array()
     delta = hyperedge_degrees(h).as_array()
-    # H H^T is nonzero off the diagonal exactly on the clique edges, each
-    # twice, and on the diagonal at every vertex of nonzero degree.
-    H = incidence_matrix(h)
-    clique_edges = (sp.csr_array(H @ H.T).nnz - np.count_nonzero(d)) // 2
+    clique_edges = len(_clique_edges(h)[0])
     n_l, m_l = size_formulas(h)
 
     def density(edges: int, nodes: int) -> float:
@@ -237,6 +242,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (HypergraphError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

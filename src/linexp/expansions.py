@@ -327,33 +327,6 @@ def star_adjacency(h: Hypergraph) -> sp.csr_array:
     return _symmetric_normalize(core)
 
 
-def effective_vertex_adjacency(h: Hypergraph, w_v: float, w_e: float) -> sp.csr_array:
-    """Vertex-level adjacency induced by one LE convolution plus back-projection.
-
-    A(u,v) = sum_e w_v h(u,e)h(v,e) / (delta(e) sqrt((w_v delta(e) + w_e d(u))
-    (w_v delta(e) + w_e d(v)))), divided by sqrt(dw(u) dw(v)) with dw the
-    weighted degree sum_e h(u,e)/delta(e), which is its row sum only when
-    w_e = 0. The diagonal is included as the formula produces it.
-    """
-    _check_weights(w_v, w_e)
-    delta = _hyperedge_sizes(h)
-    d = vertex_degrees(h).as_array().astype(np.float64)
-    if (d == 0).any():
-        raise HypergraphError(
-            f"vertices with degree 0: {np.flatnonzero(d == 0).tolist()}"
-        )
-    H = incidence_matrix(h)
-    dw = H @ (1.0 / delta)
-    # B(u,e) = h(u,e) sqrt(w_v / delta(e)) / sqrt(w_v delta(e) + w_e d(u)),
-    # so (B B^T)(u,v) is the numerator.
-    coo = H.tocoo()
-    vals = np.sqrt(w_v / delta[coo.col]) / np.sqrt(
-        w_v * delta[coo.col] + w_e * d[coo.row]
-    )
-    B = sp.csr_array((vals, (coo.row, coo.col)), shape=H.shape)
-    return _scale_symmetric(B @ B.T, 1.0 / np.sqrt(dw))
-
-
 def star_expansion_graph(h: Hypergraph) -> tuple[int, list[tuple[int, int]]]:
     """Bipartite star expansion: nodes 0..|V|-1 are vertices, |V|..|V|+|E|-1
     are hyperedges; one edge per incidence pair. Returns (num_nodes, edges)."""

@@ -13,7 +13,7 @@ import numpy as np
 from .expansions import LineExpansion, size_formulas
 from .hypergraph import Hypergraph, ParseError, _DIGITS, _int_field, _int_fields, _int_setting, _read_header
 from .learn import Dataset, TrainConfig
-from .reconstruction import UnlabeledGraph, _hypergraph_from_pairs
+from .reconstruction import _hypergraph_from_pairs
 
 
 def _render_dump(
@@ -151,15 +151,6 @@ def _first_fault(lines: list[str], numbers: Sequence[int], n: int) -> ParseError
             return ParseError(f"negative label ({a}, {b})", line_no)
         elif max(a, b) >= 1 << 63:
             return ParseError(f"label ({a}, {b}) does not fit in int64", line_no)
-
-
-def parse_line_expansion_dump(
-    text: str,
-) -> tuple[UnlabeledGraph, list[tuple[int, int]] | None]:
-    """Read a dump; returns the topology and the labels (None if stripped)."""
-    n, labels, lo, hi = _read_dump(text)
-    graph = UnlabeledGraph(n, tuple(zip(lo.tolist(), hi.tolist())))
-    return graph, None if labels is None else list(map(tuple, labels.tolist()))
 
 
 def hypergraph_from_labeled_dump(text: str) -> Hypergraph:

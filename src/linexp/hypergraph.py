@@ -1,4 +1,4 @@
-"""Hypergraph container, text format, degrees, validation, random generation.
+"""Hypergraph container, text format, degrees, random generation.
 
 A hypergraph is stored as per-hyperedge sorted vertex tuples plus a derived
 per-vertex list of incident hyperedges. Both directions always describe the
@@ -33,7 +33,8 @@ class Hypergraph:
 
     ``edges[e]`` holds the vertices of hyperedge ``e``; the constructor
     judges them by the member rule of :func:`_member_fault`. Empty hyperedges
-    are representable (flagged by :func:`validate`); duplicates stay distinct.
+    are representable, though every formula that divides by delta(e)
+    rejects them; duplicates stay distinct.
     """
 
     num_vertices: int
@@ -91,14 +92,6 @@ class DegreeVector:
         return np.asarray(self.values, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    empty_hyperedges: tuple[int, ...]
-    isolated_vertices: tuple[int, ...]
-    duplicate_hyperedges: tuple[tuple[int, int], ...]
-
-
 def vertex_degrees(h: Hypergraph) -> DegreeVector:
     """d(v) = number of hyperedges containing v."""
     return DegreeVector(tuple(len(h.vertex_edges(v)) for v in range(h.num_vertices)))
@@ -117,24 +110,6 @@ def incidence_matrix(h: Hypergraph) -> sp.csr_array:
     return sp.csr_array(
         (np.ones(len(indices)), indices, indptr), shape=(h.num_vertices, h.num_hyperedges)
     )
-
-
-def validate(h: Hypergraph) -> ValidationReport:
-    """Report empty hyperedges, isolated vertices, and duplicate hyperedges.
-
-    ``ok`` requires no empty hyperedges: the expansion formulas divide by
-    delta(e). Isolated vertices and duplicates are warnings only.
-    """
-    empty = tuple(e for e, verts in enumerate(h.edges) if not verts)
-    isolated = tuple(v for v in range(h.num_vertices) if not h.vertex_edges(v))
-    seen: dict[tuple[int, ...], int] = {}
-    dups = []
-    for e, verts in enumerate(h.edges):
-        if verts in seen:
-            dups.append((seen[verts], e))
-        else:
-            seen[verts] = e
-    return ValidationReport(not empty, empty, isolated, tuple(dups))
 
 
 _DIGITS = 19  # significant digits of the largest int64

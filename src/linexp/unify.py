@@ -15,11 +15,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expansions import (
+    _hyperedge_sizes,
+    _scale_symmetric,
     _symmetric_normalize,
-    effective_vertex_adjacency,
     star_adjacency,
 )
-from .hypergraph import Hypergraph, HypergraphError
+from .hypergraph import Hypergraph, HypergraphError, incidence_matrix
 from .reconstruction import UnlabeledGraph
 
 DEFAULT_TOL = 1e-12
@@ -58,9 +59,19 @@ def _compared(name: str, lhs: str, rhs: str, diff: float, nv: int, ne: int) -> C
 
 
 def degraded_line_adjacency(h: Hypergraph) -> sp.csr_array:
-    """Symmetric effective adjacency with w_e = 0: the 0-chain restriction
-    A(u,v) = sum_e h(u,e)h(v,e)/delta(e)^2 over the weighted-degree norms."""
-    return effective_vertex_adjacency(h, w_v=1.0, w_e=0.0)
+    """The degraded (w_e = 0) line expansion as a symmetric vertex adjacency:
+    D_w^{-1/2} B B^T D_w^{-1/2} with B = H diag(1/delta) and D_w = H (1/delta)
+    the weighted degree, so A(u,v) = sum_e h(u,e)h(v,e)/delta(e)^2 over
+    sqrt(dw(u) dw(v)). The form is derived by hand, not read off the
+    operator training applies. A vertex of degree 0 is an error.
+    """
+    delta = _hyperedge_sizes(h)
+    H = incidence_matrix(h)
+    dw = H @ (1.0 / delta)
+    if not dw.all():
+        raise HypergraphError(f"vertices with degree 0: {np.flatnonzero(dw == 0).tolist()}")
+    B = sp.csr_array((1.0 / delta[H.indices], H.indices, H.indptr), shape=H.shape)
+    return _scale_symmetric(B @ B.T, 1.0 / np.sqrt(dw))
 
 
 def simple_graph_adjacency(g: UnlabeledGraph) -> sp.csr_array:

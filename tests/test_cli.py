@@ -19,6 +19,7 @@ from linexp.verify import random_connected_hypergraph
 
 from conftest import WORKED_EXAMPLE_TEXT
 from test_expansions import messy_hypergraphs
+from test_formats import parse_dump
 
 MIXED = "node lines must be all '? ?' or all '<v> <e>'"
 
@@ -45,7 +46,7 @@ class TestExpand:
         out = tmp_path / "le.txt"
         main(["expand", "--mode", "line", "--input", str(worked_file),
               "--out", str(out), "--unlabeled"])
-        graph, labels = formats.parse_line_expansion_dump(out.read_text())
+        graph, labels = parse_dump(out.read_text())
         assert labels is None
         assert graph.num_nodes == 8
         assert len(graph.edges) == 10
@@ -179,6 +180,22 @@ class TestStats:
             main(["stats", "--input", str(worked_file), flag, value])
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError(), "error: out of memory"),
+        (MemoryError("Unable to allocate 64.0 EiB"),
+         "error: out of memory: Unable to allocate 64.0 EiB"),
+    ], ids=["bare", "with-message"])
+    def test_out_of_memory_is_a_one_line_error(self, capsys, monkeypatch, worked_file,
+                                               error, line):
+        def exhausted(text):
+            raise error
+
+        monkeypatch.setattr("linexp.cli.parse_hypergraph", exhausted)
+        assert main(["stats", "--input", str(worked_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
 
 
 class TestVerify:

@@ -45,8 +45,20 @@ class TestLineExpand:
         assert le.num_edges == 0
 
     def test_zero_weights_rejected(self, worked):
-        with pytest.raises(lx.HypergraphError):
+        with pytest.raises(lx.HypergraphError, match="^w_v and w_e must not both be zero$"):
             lx.line_expand(worked, 0.0, 0.0)
+
+    @pytest.mark.parametrize("w_v, w_e", [(-1.0, 1.0), (1.0, -0.5)])
+    def test_negative_weight_rejected(self, worked, w_v, w_e):
+        with pytest.raises(lx.HypergraphError, match="^weights must be nonnegative$"):
+            lx.line_expand(worked, w_v, w_e)
+
+    @pytest.mark.parametrize(
+        "w_v, w_e", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)]
+    )
+    def test_non_finite_weight_rejected(self, worked, w_v, w_e):
+        with pytest.raises(lx.HypergraphError, match="^weights must be finite$"):
+            lx.line_expand(worked, w_v, w_e)
 
     def test_edge_kinds_carry_weights(self, worked):
         le = lx.line_expand(worked, w_v=2.0, w_e=3.0)
@@ -382,37 +394,6 @@ class TestStarAdjacency:
     def test_empty_hyperedge_rejected(self):
         with pytest.raises(lx.HypergraphError, match=r"^empty hyperedges \(1,\)$"):
             lx.star_adjacency(lx.Hypergraph(2, ((0, 1), ())))
-
-
-class TestEffectiveVertexAdjacency:
-    def test_degraded_symmetric_form(self, worked):
-        a = lx.effective_vertex_adjacency(worked, 1.0, 0.0).toarray()
-        assert a[0, 1] == pytest.approx(13 / 30, abs=1e-15)
-
-    def test_degree_zero_vertex_rejected(self):
-        h = lx.Hypergraph(3, ((0, 1),))
-        with pytest.raises(lx.HypergraphError):
-            lx.effective_vertex_adjacency(h, 1.0, 1.0)
-
-    @pytest.mark.parametrize("w_v, w_e", [(-1.0, 1.0), (1.0, -0.5)])
-    def test_negative_weight_rejected(self, worked, w_v, w_e):
-        with pytest.raises(lx.HypergraphError, match="^weights must be nonnegative$"):
-            lx.effective_vertex_adjacency(worked, w_v, w_e)
-
-    @pytest.mark.parametrize(
-        "w_v, w_e", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)]
-    )
-    @pytest.mark.parametrize("build", [lx.line_expand, lx.effective_vertex_adjacency])
-    def test_non_finite_weight_rejected(self, worked, build, w_v, w_e):
-        with pytest.raises(lx.HypergraphError, match="^weights must be finite$"):
-            build(worked, w_v, w_e)
-
-    def test_symmetric_form_symmetry_when_we_zero(self):
-        for h in random_corpus(20):
-            if any(not h.vertex_edges(v) for v in range(h.num_vertices)):
-                continue
-            a = lx.effective_vertex_adjacency(h, 1.0, 0.0).toarray()
-            assert np.allclose(a, a.T, atol=1e-14)
 
 
 class TestLineGraphEquivalence:

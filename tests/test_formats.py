@@ -73,9 +73,17 @@ class TestLabeledDump:
         assert formats.hypergraph_from_labeled_dump(text) == expected
 
 
+def parse_dump(text):
+    """A dump read by ``formats._read_dump`` as the topology and the labels
+    (None if stripped)."""
+    n, labels, lo, hi = formats._read_dump(text)
+    graph = UnlabeledGraph(n, tuple(zip(lo.tolist(), hi.tolist())))
+    return graph, None if labels is None else list(map(tuple, labels.tolist()))
+
+
 def loop_parse(text):
     """The line-by-line dump reader that the array reader replaced, kept as
-    the reference: (graph, labels) like ``parse_line_expansion_dump``."""
+    the reference: (graph, labels) like :func:`parse_dump`."""
     line_no, n, m, lines, numbers = _read_header(text, "<num_line_nodes> <num_edges>")
     if len(lines) != n + m:
         raise ParseError(f"expected {n} node lines and {m} edge lines", line_no)
@@ -197,7 +205,7 @@ class TestArrayReader:
         """Same graph, labels and hypergraph as the line loop, or the same
         error text, except where the node lines break the all-or-none "?"
         rule or the int64 range, which the line loop did not enforce."""
-        parsed = outcome(formats.parse_line_expansion_dump, text)
+        parsed = outcome(parse_dump, text)
         read = outcome(formats.hypergraph_from_labeled_dump, text)
         loop_parsed = outcome(loop_parse, text)
         if node_lines_break_new_rules(text):
@@ -259,7 +267,7 @@ class TestByteReader:
         text = formats.render_line_expansion(lx.line_expand(h), labeled=labeled)
         with mock.patch.object(formats, "_read_header", side_effect=AssertionError), \
                 mock.patch.object(formats, "_first_fault", side_effect=AssertionError):
-            parsed = formats.parse_line_expansion_dump(text)
+            parsed = parse_dump(text)
         assert parsed == loop_parse(text)
 
     @pytest.mark.parametrize("clean", [VALID_UNSORTED_DUMP, UNLABELED_DUMP])

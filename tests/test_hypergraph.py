@@ -190,27 +190,6 @@ class TestIncidenceMatrix:
             assert lx.parse_hypergraph(render_hypergraph(h)) == h
 
 
-class TestValidate:
-    def test_worked_example_ok(self, worked):
-        rep = lx.validate(worked)
-        assert rep.ok
-        assert not rep.empty_hyperedges
-        assert not rep.isolated_vertices
-        assert not rep.duplicate_hyperedges
-
-    def test_empty_hyperedge_flagged(self):
-        h = lx.Hypergraph(2, ((0,), ()))
-        rep = lx.validate(h)
-        assert not rep.ok
-        assert rep.empty_hyperedges == (1,)
-
-    def test_duplicate_hyperedges_warn_only(self):
-        h = lx.Hypergraph(2, ((0, 1), (0, 1)))
-        rep = lx.validate(h)
-        assert rep.ok
-        assert rep.duplicate_hyperedges == ((0, 1),)
-
-
 class TestRandomHypergraph:
     def test_p_one_is_complete(self):
         h = lx.random_hypergraph(5, 3, 1.0, 42)

@@ -26,6 +26,22 @@ def no_zero_degree_corpus(n, nv=12, ne=8, p=0.35, base_seed=100):
     return out
 
 
+class TestDegradedLineAdjacency:
+    def test_worked_example_pair(self, worked):
+        a = degraded_line_adjacency(worked).toarray()
+        assert a[0, 1] == pytest.approx(13 / 30, abs=1e-15)
+
+    def test_degree_zero_vertex_rejected(self):
+        h = lx.Hypergraph(3, ((0, 1),))
+        with pytest.raises(lx.HypergraphError, match=r"^vertices with degree 0: \[2\]$"):
+            degraded_line_adjacency(h)
+
+    def test_symmetric(self):
+        for h in no_zero_degree_corpus(20, base_seed=0):
+            a = degraded_line_adjacency(h).toarray()
+            assert np.allclose(a, a.T, atol=1e-14)
+
+
 class TestStarEquivalence:
     def test_worked_example(self, worked):
         rep = check_star_equivalence(worked)

@@ -36,7 +36,7 @@ def test_analysis_and_verification_above_old_cap(tmp_path):
     for a in (
         lx.clique_adjacency(h),
         lx.star_adjacency(h),
-        lx.effective_vertex_adjacency(h, 1.0, 1.0),
+        lx.degraded_line_adjacency(h),
     ):
         assert a.shape == (nv, nv) and a.nnz > 0
     assert check_star_equivalence(h).passed
