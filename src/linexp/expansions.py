@@ -5,8 +5,10 @@ Line nodes are the incident (vertex, hyperedge) pairs, ordered by
 line nodes are adjacent when they share the vertex (kind "vertex-similar",
 carrying weight w_e) or the hyperedge (kind "hyperedge-similar", carrying
 weight w_v). :func:`pair_groups` groups the line nodes by vertex and by
-hyperedge in one pass; the line edges are the pairs within each group, built
-from it only when asked for (dumps, reconstruction, reference checks).
+hyperedge in one pass, and a LineExpansion keeps the result as ``groups``.
+The line edges are the pairs within each group: the dump writer and
+:func:`~linexp.reconstruction.strip_labels` read them off ``groups``, and
+only the reference checks build them as ``edges`` triples.
 
 Everything below the line expansion itself is sparse algebra on the pair
 arrays v_of, e_of (the vertex and hyperedge of each line node):
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,8 +70,9 @@ def pair_groups(
 class LineExpansion:
     """Line expansion of a hypergraph, stored as its incidence pairs.
 
-    ``nodes[i]`` is the (vertex, hyperedge) pair of line node i. ``edges``
-    are built from :func:`pair_groups` on first use: undirected
+    ``nodes[i]`` is the (vertex, hyperedge) pair of line node i. ``groups``
+    is :func:`pair_groups` of the nodes as tuples, built on first use.
+    ``edges`` are built from ``groups`` on first use: undirected
     (i, j, kind) triples with i < j, the vertex-similar pairs of each vertex
     group in vertex order first, then the hyperedge-similar pairs.
     """
@@ -91,17 +94,24 @@ class LineExpansion:
         return pairs[:, 0], pairs[:, 1]
 
     @cached_property
+    def groups(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The line-node ids by vertex and by hyperedge (see
+        :func:`pair_groups`), kept as tuples: the garbage collector stops
+        tracking a tuple of ints, never a list."""
+        return tuple(tuple(map(tuple, groups)) for groups in pair_groups(self.nodes))
+
+    @cached_property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
-        by_vertex, by_edge = pair_groups(self.nodes)
         out: list[tuple[int, int, str]] = []
-        for groups, kind in ((by_vertex, VERTEX_SIMILAR), (by_edge, HYPEREDGE_SIMILAR)):
+        for groups, kind in zip(self.groups, (VERTEX_SIMILAR, HYPEREDGE_SIMILAR)):
             for ids in groups:
                 out += [(i, j, kind) for i, j in combinations(ids, 2)]
         return tuple(out)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        """The number of line edges, the pairs within each group."""
+        return sum(len(ids) * (len(ids) - 1) for ids in chain.from_iterable(self.groups)) // 2
 
     def adjacency(self) -> sp.csr_array:
         """Weighted symmetric adjacency A_l (w_e on vertex-similar edges,

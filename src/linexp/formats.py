@@ -7,6 +7,7 @@ import json
 import re
 import typing
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -30,8 +31,32 @@ def _render_dump(
 
 def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
     """The line expansion as a dump (see :func:`_render_dump`), its nodes
-    labeled by their (vertex, hyperedge) pairs unless ``labeled`` is False."""
-    return _render_dump(le.num_nodes, le.edges, le.nodes if labeled else None)
+    labeled by their (vertex, hyperedge) pairs unless ``labeled`` is False.
+
+    The edge lines are written from ``le.groups``, never from ``le.edges``:
+    the vertex groups, then the hyperedge groups, and within a group each
+    member joined to each later member, so pairs (i, j) with i < j come in
+    ascending order. One ``join`` writes all of a member's lines; a group
+    of two, the commonest group with an edge in a small expansion, is one
+    f-string. The edges are counted in the same pass, as a second pass over
+    the groups of a small expansion costs a measurable share of the writing.
+    """
+    out = [""]  # the header, once the edges are counted
+    out += [f"{v} {e}" for v, e in le.nodes] if labeled else ["? ?"] * le.num_nodes
+    num_edges = 0
+    for ids in chain.from_iterable(le.groups):
+        k = len(ids)
+        if k == 2:
+            out.append(f"{ids[0]} {ids[1]}")
+            num_edges += 1
+        elif k > 2:
+            num_edges += k * (k - 1) // 2
+            names = list(map(str, ids))
+            while len(names) > 1:
+                head = names.pop(0) + " "
+                out.append(head + ("\n" + head).join(names))
+    out[0] = f"{le.num_nodes} {num_edges}"
+    return "\n".join(out) + "\n"
 
 
 _HEADER = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n")  # the writer's header; counts < 10**18

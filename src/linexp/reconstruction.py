@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .expansions import LineExpansion
 from .hypergraph import Hypergraph, HypergraphError, vertex_degrees
@@ -67,10 +68,12 @@ class ReconstructionResult:
 
 
 def strip_labels(le: LineExpansion) -> UnlabeledGraph:
-    """The line expansion's topology. ``le.edges`` are built with i < j and,
-    the line nodes being distinct, without repeats, so they only need
-    sorting."""
-    return UnlabeledGraph(le.num_nodes, tuple(sorted((i, j) for i, j, _ in le.edges)))
+    """The line expansion's topology: the pairs within each of ``le.groups``,
+    sorted. A group lists its ids ascending, so each pair has i < j, and no
+    pair repeats, as two distinct line nodes share a vertex or a hyperedge
+    but not both."""
+    pairs = (p for ids in chain.from_iterable(le.groups) for p in combinations(ids, 2))
+    return UnlabeledGraph(le.num_nodes, tuple(sorted(pairs)))
 
 
 def back_project_labeled(

@@ -73,6 +73,62 @@ class TestLabeledDump:
         assert formats.hypergraph_from_labeled_dump(text) == expected
 
 
+@st.composite
+def hypergraphs_with_empty_hyperedges(draw):
+    """:func:`messy_hypergraphs` with empty hyperedges put in, or a
+    hypergraph with no incidence pairs at all."""
+    if draw(st.booleans()):
+        return lx.Hypergraph(draw(st.integers(0, 3)), ((),) * draw(st.integers(0, 2)))
+    h = draw(messy_hypergraphs())
+    edges = list(h.edges)
+    for _ in range(draw(st.integers(0, 2))):
+        edges.insert(draw(st.integers(0, len(edges))), ())
+    return lx.Hypergraph(h.num_vertices, tuple(edges))
+
+
+def large_random_hypergraph(seed=7, num_vertices=5000, num_hyperedges=2000, p=0.005):
+    """About 50,000 incidence pairs and 850,000 line edges."""
+    rng = np.random.default_rng(seed)
+    rows = rng.random((num_hyperedges, num_vertices)) < p
+    return lx.Hypergraph(num_vertices, tuple(tuple(np.flatnonzero(r).tolist()) for r in rows))
+
+
+class TestRenderLineExpansion:
+    """The writer formats the pairs of ``le.groups``; the reference is
+    :func:`formats._render_dump` over the ``le.edges`` triples."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hypergraphs_with_empty_hyperedges(), st.booleans())
+    def test_matches_the_edge_triples(self, h, labeled):
+        le = lx.line_expand(h)
+        expected = formats._render_dump(le.num_nodes, le.edges, le.nodes if labeled else None)
+        assert formats.render_line_expansion(lx.line_expand(h), labeled) == expected
+
+    def test_matches_the_edge_triples_at_scale(self):
+        h = large_random_hypergraph()
+        le = lx.line_expand(h)
+        assert 45_000 < le.num_nodes < 55_000
+        for labeled in (True, False):
+            expected = formats._render_dump(le.num_nodes, le.edges, le.nodes if labeled else None)
+            assert formats.render_line_expansion(lx.line_expand(h), labeled) == expected
+
+    def test_writer_and_strip_labels_read_the_groups_once(self, monkeypatch, worked):
+        calls = []
+        real_groups = lx.expansions.pair_groups
+
+        def counted_groups(nodes):
+            calls.append(nodes)
+            return real_groups(nodes)
+
+        monkeypatch.setattr(lx.expansions, "pair_groups", counted_groups)
+        le = lx.line_expand(worked)
+        formats.render_line_expansion(le)
+        formats.render_line_expansion(le, labeled=False)
+        lx.strip_labels(le)
+        assert "edges" not in vars(le)
+        assert len(calls) == 1
+
+
 def parse_dump(text):
     """A dump read by ``formats._read_dump`` as the topology and the labels
     (None if stripped)."""
