@@ -36,26 +36,15 @@ def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
     The edge lines are written from ``le.groups``, never from ``le.edges``:
     the vertex groups, then the hyperedge groups, and within a group each
     member joined to each later member, so pairs (i, j) with i < j come in
-    ascending order. One ``join`` writes all of a member's lines; a group
-    of two, the commonest group with an edge in a small expansion, is one
-    f-string. The edges are counted in the same pass, as a second pass over
-    the groups of a small expansion costs a measurable share of the writing.
+    ascending order. One ``join`` writes all of a member's lines.
     """
-    out = [""]  # the header, once the edges are counted
+    out = [f"{le.num_nodes} {le.num_edges}"]
     out += [f"{v} {e}" for v, e in le.nodes] if labeled else ["? ?"] * le.num_nodes
-    num_edges = 0
     for ids in chain.from_iterable(le.groups):
-        k = len(ids)
-        if k == 2:
-            out.append(f"{ids[0]} {ids[1]}")
-            num_edges += 1
-        elif k > 2:
-            num_edges += k * (k - 1) // 2
-            names = list(map(str, ids))
-            while len(names) > 1:
-                head = names.pop(0) + " "
-                out.append(head + ("\n" + head).join(names))
-    out[0] = f"{le.num_nodes} {num_edges}"
+        names = list(map(str, ids))
+        while len(names) > 1:
+            head = names.pop(0) + " "
+            out.append(head + ("\n" + head).join(names))
     return "\n".join(out) + "\n"
 
 
