@@ -24,7 +24,6 @@ from .expansions import (
     block_gram,
     clique_adjacency,
     line_expand,
-    pair_groups,
     projections,
     renormalized_operator,
     size_formulas,

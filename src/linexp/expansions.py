@@ -4,9 +4,10 @@ Line nodes are the incident (vertex, hyperedge) pairs, ordered by
 (v ascending, e ascending), and they are all a LineExpansion stores. Two
 line nodes are adjacent when they share the vertex (kind "vertex-similar",
 carrying weight w_e) or the hyperedge (kind "hyperedge-similar", carrying
-weight w_v). :func:`pair_groups` groups the line nodes by vertex and by
-hyperedge in one pass, and a LineExpansion keeps the result as ``groups``.
-The line edges are the pairs within each group: the dump writer and
+weight w_v). A LineExpansion checks its weights when built, and ``groups``
+(one pass filing each line node under its vertex and its hyperedge) and
+``pair_arrays`` reject a negative id when first read. The line edges are
+the pairs within each group: the dump writer and
 :func:`~linexp.reconstruction.strip_labels` read them off ``groups``, and
 only the reference checks build them as ``edges`` triples.
 
@@ -49,37 +50,22 @@ VERTEX_SIMILAR = "vertex-similar"
 HYPEREDGE_SIMILAR = "hyperedge-similar"
 
 
-def pair_groups(
-    nodes: tuple[tuple[int, int], ...],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Line-node ids grouped by vertex and by hyperedge.
-
-    ``by_vertex[v]`` lists the ids of the nodes (v, *) and ``by_edge[e]``
-    those of the nodes (*, e), each ascending. A vertex or hyperedge below
-    the largest one listed that has no node gets an empty group.
-    """
-    by_vertex = [[] for _ in range(1 + max((v for v, _ in nodes), default=-1))]
-    by_edge = [[] for _ in range(1 + max((e for _, e in nodes), default=-1))]
-    for i, (v, e) in enumerate(nodes):
-        by_vertex[v].append(i)
-        by_edge[e].append(i)
-    return by_vertex, by_edge
-
-
 @dataclass(frozen=True)
 class LineExpansion:
     """Line expansion of a hypergraph, stored as its incidence pairs.
 
-    ``nodes[i]`` is the (vertex, hyperedge) pair of line node i. ``groups``
-    is :func:`pair_groups` of the nodes as tuples, built on first use.
-    ``edges`` are built from ``groups`` on first use: undirected
-    (i, j, kind) triples with i < j, the vertex-similar pairs of each vertex
-    group in vertex order first, then the hyperedge-similar pairs.
+    ``nodes[i]`` is the (vertex, hyperedge) pair of line node i. ``edges``
+    are built from ``groups`` on first use: undirected (i, j, kind) triples
+    with i < j, the vertex-similar pairs of each vertex group in vertex
+    order first, then the hyperedge-similar pairs.
     """
 
     nodes: tuple[tuple[int, int], ...]
     w_v: float
     w_e: float
+
+    def __post_init__(self):
+        _check_weights(self.w_v, self.w_e)
 
     @property
     def num_nodes(self) -> int:
@@ -88,17 +74,33 @@ class LineExpansion:
     @cached_property
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """v_of and e_of: the vertex and the hyperedge of each line node,
-        built on first use and read-only."""
-        pairs = np.asarray(self.nodes, dtype=np.int64).reshape(-1, 2)
+        built on first use and read-only. A negative id is an error."""
+        n = self.num_nodes
+        pairs = np.fromiter(chain.from_iterable(self.nodes), np.int64, 2 * n).reshape(n, 2)
+        if n and pairs.min() < 0:
+            _check_ids(*pairs.min(axis=0))
         pairs.flags.writeable = False
         return pairs[:, 0], pairs[:, 1]
 
     @cached_property
     def groups(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """The line-node ids by vertex and by hyperedge (see
-        :func:`pair_groups`), kept as tuples: the garbage collector stops
-        tracking a tuple of ints, never a list."""
-        return tuple(tuple(map(tuple, groups)) for groups in pair_groups(self.nodes))
+        """The line-node ids by vertex and by hyperedge, built on first use:
+        ``groups[0][v]`` lists the nodes (v, *) and ``groups[1][e]`` the
+        nodes (*, e), ascending; an id below the largest with no node gets
+        an empty group. Tuples, as the garbage collector untracks a tuple of
+        ints, never a list."""
+        by_vertex: list[list[int]] = []
+        by_edge: list[list[int]] = []
+        for i, (v, e) in enumerate(self.nodes):
+            if v < 0 or e < 0:
+                _check_ids(v, e)
+            while v >= len(by_vertex):
+                by_vertex.append([])
+            by_vertex[v].append(i)
+            while e >= len(by_edge):
+                by_edge.append([])
+            by_edge[e].append(i)
+        return tuple(map(tuple, by_vertex)), tuple(map(tuple, by_edge))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
@@ -187,7 +189,6 @@ class FactoredOperator:
 
 def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpansion:
     """Build the line expansion with parameterized similarity weights."""
-    _check_weights(w_v, w_e)
     return LineExpansion(tuple(h.pairs()), float(w_v), float(w_e))
 
 
@@ -199,6 +200,13 @@ def _check_weights(w_v: float, w_e: float) -> None:
         raise HypergraphError("weights must be nonnegative")
     if w_v == 0 and w_e == 0:
         raise HypergraphError("w_v and w_e must not both be zero")
+
+
+def _check_ids(v: int, e: int) -> None:
+    """A vertex id and a hyperedge id are nonnegative."""
+    for i, name in ((v, "vertex"), (e, "hyperedge")):
+        if i < 0:
+            raise HypergraphError(f"{name} id {i} out of range")
 
 
 def _hyperedge_sizes(h: Hypergraph) -> np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -175,13 +175,7 @@ class Model:
     leaky_slope: float = 0.01
 
     def copy(self) -> "Model":
-        return Model(
-            [t.copy() for t in self.thetas],
-            self.w_v,
-            self.w_e,
-            self.activation,
-            self.leaky_slope,
-        )
+        return replace(self, thetas=[t.copy() for t in self.thetas])
 
 
 @dataclass

@@ -83,22 +83,20 @@ def back_project_labeled(
 ) -> Hypergraph:
     """Rebuild the hypergraph whose incidence pairs are the line-node labels.
 
-    Counts default to max label + 1; pass them explicitly to keep trailing
-    isolated vertices. A negative hyperedge id fails here, repeated or
-    out-of-range vertices in :class:`Hypergraph`.
+    Counts default to max label + 1, the lengths of ``le.groups``; pass
+    them explicitly to keep trailing isolated vertices. A negative id fails
+    in ``le.groups``, repeated or out-of-range vertices in
+    :class:`Hypergraph`.
     """
-    pairs = le.nodes
+    by_vertex, by_edge = le.groups
     if num_vertices is None:
-        num_vertices = max((v for v, _ in pairs), default=-1) + 1
-    ids = [e for _, e in pairs]
-    if min(ids, default=0) < 0:
-        raise HypergraphError(f"hyperedge id {min(ids)} out of range")
-    ne = max(ids, default=-1) + 1
+        num_vertices = len(by_vertex)
+    ne = len(by_edge)
     if num_hyperedges is not None:
         if num_hyperedges < ne:
             raise HypergraphError("num_hyperedges smaller than labels require")
         ne = num_hyperedges
-    return _hypergraph_from_pairs(num_vertices, ne, pairs)
+    return _hypergraph_from_pairs(num_vertices, ne, le.nodes)
 
 
 def _hypergraph_from_pairs(num_vertices: int, num_hyperedges: int, pairs) -> Hypergraph:

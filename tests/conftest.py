@@ -1,7 +1,9 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from linexp import Hypergraph, parse_hypergraph
+from linexp import Hypergraph, LineExpansion, parse_hypergraph
 
 # 5 vertices, hyperedges {0,1}, {0,1,2}, {2,3,4}
 WORKED_EXAMPLE_TEXT = "5 3\n0 1\n0 1 2\n2 3 4\n"
@@ -15,6 +17,23 @@ def worked() -> Hypergraph:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def groups_builds(monkeypatch) -> list:
+    """The nodes of every line expansion whose ``groups`` is built while the
+    test runs, one entry per build."""
+    builds = []
+    real = LineExpansion.groups.func
+
+    def counted(le):
+        builds.append(le.nodes)
+        return real(le)
+
+    prop = cached_property(counted)
+    prop.__set_name__(LineExpansion, "groups")
+    monkeypatch.setattr(LineExpansion, "groups", prop)
+    return builds
 
 
 def pytest_terminal_summary(terminalreporter):

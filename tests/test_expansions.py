@@ -7,6 +7,7 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 import linexp as lx
+from linexp import formats
 from linexp.expansions import line_graph, star_expansion_graph
 from linexp.verify import check_line_graph_equivalence
 
@@ -59,6 +60,18 @@ class TestLineExpand:
     def test_non_finite_weight_rejected(self, worked, w_v, w_e):
         with pytest.raises(lx.HypergraphError, match="^weights must be finite$"):
             lx.line_expand(worked, w_v, w_e)
+
+    @pytest.mark.parametrize(
+        "w_v, w_e, message",
+        [
+            (np.nan, 1.0, "weights must be finite"),
+            (-1.0, 0.0, "weights must be nonnegative"),
+            (0.0, 0.0, "w_v and w_e must not both be zero"),
+        ],
+    )
+    def test_construction_rejects_bad_weights(self, w_v, w_e, message):
+        with pytest.raises(lx.HypergraphError, match=f"^{message}$"):
+            lx.LineExpansion(((0, 0),), w_v, w_e)
 
     def test_edge_kinds_carry_weights(self, worked):
         le = lx.line_expand(worked, w_v=2.0, w_e=3.0)
@@ -283,14 +296,68 @@ class TestClosedFormOracle:
                     assert np.abs(got - expected).max() <= 1e-12
 
 
+def dict_groups(nodes):
+    """The line-node ids by vertex and by hyperedge, filed in dicts: one
+    group for every id up to the largest listed, empty if it has no node."""
+    by_vertex, by_edge = {}, {}
+    for i, (v, e) in enumerate(nodes):
+        by_vertex.setdefault(v, []).append(i)
+        by_edge.setdefault(e, []).append(i)
+    return tuple(
+        tuple(tuple(by_id.get(k, ())) for k in range(max(by_id, default=-1) + 1))
+        for by_id in (by_vertex, by_edge)
+    )
+
+
+# Hand-built expansions with a vertex id, respectively a hyperedge id, of -1.
+NEGATIVE_IDS = {
+    "vertex": ((0, 0), (-1, 1), (2, 0)),
+    "hyperedge": ((0, 0), (1, -1), (2, 0)),
+}
+
+# Everything that reads a line expansion's ids.
+ID_READERS = {
+    "groups": lambda le: le.groups,
+    "pair_arrays": lambda le: le.pair_arrays,
+    "render_line_expansion": formats.render_line_expansion,
+    "strip_labels": lx.strip_labels,
+    "renormalized_operator": lx.renormalized_operator,
+    "back_project_labeled": lx.back_project_labeled,
+}
+
+
 class TestPairGroups:
     def test_worked_example(self, worked):
-        by_vertex, by_edge = lx.pair_groups(lx.line_expand(worked).nodes)
-        assert by_vertex == [[0, 1], [2, 3], [4, 5], [6], [7]]
-        assert by_edge == [[0, 2], [1, 3, 4], [5, 6, 7]]
+        by_vertex, by_edge = lx.line_expand(worked).groups
+        assert by_vertex == ((0, 1), (2, 3), (4, 5), (6,), (7,))
+        assert by_edge == ((0, 2), (1, 3, 4), (5, 6, 7))
 
     def test_empty(self):
-        assert lx.pair_groups(()) == ([], [])
+        assert lx.LineExpansion((), 1.0, 1.0).groups == ((), ())
+
+    def test_ids_without_nodes_get_empty_groups(self):
+        le = lx.LineExpansion(((3, 0), (0, 2), (1, 2)), 1.0, 1.0)
+        assert le.groups == (((1,), (2,), (), (0,)), ((0,), (), (1, 2)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs(), st.sets(st.integers(0, 63)), st.randoms(use_true_random=False))
+    def test_matches_a_dict_grouping(self, h, dropped, random):
+        """With the nodes as built, reversed and shuffled, so that ids arrive
+        out of order, and with some nodes dropped, so that ids below the
+        largest have no node."""
+        built = tuple(h.pairs())
+        shuffled = random.sample(built, len(built))
+        kept = tuple(p for i, p in enumerate(built) if i not in dropped)
+        for nodes in (built, built[::-1], tuple(shuffled), kept, kept[::-1]):
+            assert lx.LineExpansion(nodes, 1.0, 1.0).groups == dict_groups(nodes)
+
+    @pytest.mark.parametrize("reader", ID_READERS)
+    @pytest.mark.parametrize("kind", NEGATIVE_IDS)
+    def test_negative_id_rejected(self, kind, reader):
+        """Construction does not look at the ids; every reader rejects them."""
+        le = lx.LineExpansion(NEGATIVE_IDS[kind], 1.0, 1.0)
+        with pytest.raises(lx.HypergraphError, match=f"^{kind} id -1 out of range$"):
+            ID_READERS[reader](le)
 
     def test_edges_built_on_demand_and_kept(self, worked):
         le = lx.line_expand(worked)

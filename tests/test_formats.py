@@ -112,21 +112,13 @@ class TestRenderLineExpansion:
             expected = formats._render_dump(le.num_nodes, le.edges, le.nodes if labeled else None)
             assert formats.render_line_expansion(lx.line_expand(h), labeled) == expected
 
-    def test_writer_and_strip_labels_read_the_groups_once(self, monkeypatch, worked):
-        calls = []
-        real_groups = lx.expansions.pair_groups
-
-        def counted_groups(nodes):
-            calls.append(nodes)
-            return real_groups(nodes)
-
-        monkeypatch.setattr(lx.expansions, "pair_groups", counted_groups)
+    def test_writer_and_strip_labels_read_the_groups_once(self, groups_builds, worked):
         le = lx.line_expand(worked)
         formats.render_line_expansion(le)
         formats.render_line_expansion(le, labeled=False)
         lx.strip_labels(le)
         assert "edges" not in vars(le)
-        assert len(calls) == 1
+        assert len(groups_builds) == 1
 
 
 def parse_dump(text):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import linexp as lx
 from linexp.expansions import (
     line_expand,
-    pair_groups,
     projections,
     renormalized_operator,
 )
@@ -109,7 +108,7 @@ RECORDED_NARROW_SAMPLED = {
 def uncut_loop_operator(le):
     """The sampled operator as first written, one line node at a time, when
     no neighbor set exceeds its threshold: every set taken whole."""
-    by_vertex, by_edge = pair_groups(le.nodes)
+    by_vertex, by_edge = le.groups
     n = le.num_nodes
     rows, cols, data = [], [], []
     for i, (v, e) in enumerate(le.nodes):
@@ -461,7 +460,7 @@ class TestSampling:
     def test_uncut_operator_matches_loop_and_full(self, h):
         for w_v, w_e in ((1.0, 1.0), (0.0, 1.0), (2.5, 0.0)):
             le = line_expand(h, w_v, w_e)
-            by_vertex, by_edge = pair_groups(le.nodes)
+            by_vertex, by_edge = le.groups
             largest = max(len(g) for g in by_vertex + by_edge) - 1
             cfg = lx.SamplingConfig(max(largest, 1), max(largest, 1))
             got = sampled_operator(le, cfg, np.random.default_rng(0)).matrix.toarray()

@@ -84,27 +84,22 @@ def test_observation_identities_catch_one_changed_entry(
     ],
     ids=["seed-1", "seed-5", "input"],
 )
-def test_one_line_expansion_per_instance(monkeypatch, kwargs, instances):
+def test_one_line_expansion_per_instance(monkeypatch, groups_builds, kwargs, instances):
     """Every check reads the instance's one line expansion, whose line edges
     are built once."""
-    expansions, groups = [], []
-    real_expand, real_groups = verify.line_expand, lx.expansions.pair_groups
+    expansions = []
+    real_expand = verify.line_expand
 
     def counted_expand(h, *args):
         expansions.append(h)
         return real_expand(h, *args)
 
-    def counted_groups(nodes):
-        groups.append(nodes)
-        return real_groups(nodes)
-
     monkeypatch.setattr(verify, "line_expand", counted_expand)
-    monkeypatch.setattr(lx.expansions, "pair_groups", counted_groups)
     results = run_verification(reconstruct=True, **kwargs)
     assert all(r.passed for r in results), results
     assert not results[-1].detail.startswith("0 instance(s)")  # the round trip ran
     assert len(expansions) == instances
-    assert len(groups) == instances
+    assert len(groups_builds) == instances
 
 
 def _failing_report(x):
