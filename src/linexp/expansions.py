@@ -1,18 +1,16 @@
 """Clique, star, and line expansions; projection matrices; normalized operator.
 
 Line nodes are the incident (vertex, hyperedge) pairs, ordered by
-(v ascending, e ascending), and they are all a LineExpansion stores. Two
-line nodes are adjacent when they share the vertex (kind "vertex-similar",
+(v ascending, e ascending). A LineExpansion holds the hypergraph and the
+weights; everything else about it is a view of the hypergraph. Two line
+nodes are adjacent when they share the vertex (kind "vertex-similar",
 carrying weight w_e) or the hyperedge (kind "hyperedge-similar", carrying
-weight w_v). A LineExpansion checks its weights when built, and ``groups``
-(one pass filing each line node under its vertex and its hyperedge) and
-``pair_arrays`` reject a negative id when first read. The line edges are
-the pairs within each group: the dump writer and
-:func:`~linexp.reconstruction.strip_labels` read them off ``groups``, and
-only the reference checks build them as ``edges`` triples.
+weight w_v). The line edges are the pairs within each of ``groups``: the
+dump writer and :func:`~linexp.reconstruction.strip_labels` read them off
+``groups``, and only the reference checks build them as ``edges`` triples.
 
 Everything below the line expansion itself is sparse algebra on the pair
-arrays v_of, e_of (the vertex and hyperedge of each line node):
+arrays v_of, e_of (the row and the column of each entry of H):
 
 * P_v and P_e are the binary |V_l| x |V| and |V_l| x |E| indicators of
   v_of and e_of; H_r = [P_v, P_e].
@@ -52,15 +50,15 @@ HYPEREDGE_SIMILAR = "hyperedge-similar"
 
 @dataclass(frozen=True)
 class LineExpansion:
-    """Line expansion of a hypergraph, stored as its incidence pairs.
-
-    ``nodes[i]`` is the (vertex, hyperedge) pair of line node i. ``edges``
-    are built from ``groups`` on first use: undirected (i, j, kind) triples
-    with i < j, the vertex-similar pairs of each vertex group in vertex
+    """Line expansion of ``hypergraph`` with similarity weights ``w_v`` and
+    ``w_e``, checked when built. The rest are views of ``hypergraph``, built
+    on first use: ``nodes[i]`` is the (vertex, hyperedge) pair of line node
+    i, and ``edges`` are undirected (i, j, kind) triples with i < j from
+    ``groups``, the vertex-similar pairs of each vertex group in vertex
     order first, then the hyperedge-similar pairs.
     """
 
-    nodes: tuple[tuple[int, int], ...]
+    hypergraph: Hypergraph
     w_v: float
     w_e: float
 
@@ -69,38 +67,34 @@ class LineExpansion:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return self.hypergraph.num_pairs
+
+    @cached_property
+    def nodes(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.hypergraph.pairs())
 
     @cached_property
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """v_of and e_of: the vertex and the hyperedge of each line node,
-        built on first use and read-only. A negative id is an error."""
-        n = self.num_nodes
-        pairs = np.fromiter(chain.from_iterable(self.nodes), np.int64, 2 * n).reshape(n, 2)
-        if n and pairs.min() < 0:
-            _check_ids(*pairs.min(axis=0))
-        pairs.flags.writeable = False
-        return pairs[:, 0], pairs[:, 1]
+        """v_of and e_of of :func:`_pair_arrays`, built on first use."""
+        return _pair_arrays(self.hypergraph)
 
     @cached_property
     def groups(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """The line-node ids by vertex and by hyperedge, built on first use:
-        ``groups[0][v]`` lists the nodes (v, *) and ``groups[1][e]`` the
-        nodes (*, e), ascending; an id below the largest with no node gets
-        an empty group. Tuples, as the garbage collector untracks a tuple of
-        ints, never a list."""
-        by_vertex: list[list[int]] = []
-        by_edge: list[list[int]] = []
-        for i, (v, e) in enumerate(self.nodes):
-            if v < 0 or e < 0:
-                _check_ids(v, e)
-            while v >= len(by_vertex):
-                by_vertex.append([])
-            by_vertex[v].append(i)
-            while e >= len(by_edge):
-                by_edge.append([])
-            by_edge[e].append(i)
-        return tuple(map(tuple, by_vertex)), tuple(map(tuple, by_edge))
+        """The line-node ids by vertex and by hyperedge: ``groups[0][v]`` is
+        the consecutive range of the nodes (v, *), and one pass files each
+        node under its hyperedge in ``groups[1]``: |V| and |E| groups, empty
+        for an isolated vertex or an empty hyperedge. Tuples, as the garbage
+        collector untracks a tuple of ints, never a list."""
+        h = self.hypergraph
+        by_vertex: list[tuple[int, ...]] = []
+        by_edge: list[list[int]] = [[] for _ in range(h.num_hyperedges)]
+        i = 0
+        for edges in map(h.vertex_edges, range(h.num_vertices)):
+            by_vertex.append(tuple(range(i, i + len(edges))))
+            for e in edges:
+                by_edge[e].append(i)
+                i += 1
+        return tuple(by_vertex), tuple(map(tuple, by_edge))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
@@ -188,8 +182,8 @@ class FactoredOperator:
 
 
 def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpansion:
-    """Build the line expansion with parameterized similarity weights."""
-    return LineExpansion(tuple(h.pairs()), float(w_v), float(w_e))
+    """The line expansion of ``h`` with parameterized similarity weights."""
+    return LineExpansion(h, float(w_v), float(w_e))
 
 
 def _check_weights(w_v: float, w_e: float) -> None:
@@ -200,13 +194,6 @@ def _check_weights(w_v: float, w_e: float) -> None:
         raise HypergraphError("weights must be nonnegative")
     if w_v == 0 and w_e == 0:
         raise HypergraphError("w_v and w_e must not both be zero")
-
-
-def _check_ids(v: int, e: int) -> None:
-    """A vertex id and a hyperedge id are nonnegative."""
-    for i, name in ((v, "vertex"), (e, "hyperedge")):
-        if i < 0:
-            raise HypergraphError(f"{name} id {i} out of range")
 
 
 def _hyperedge_sizes(h: Hypergraph) -> np.ndarray:
@@ -227,6 +214,16 @@ def size_formulas(h: Hypergraph) -> tuple[int, int]:
     return n_nodes, n_edges
 
 
+def _pair_arrays(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """v_of and e_of, the row and the column of each entry of the incidence
+    matrix in (v, e) order, as read-only int64 arrays."""
+    incidence = incidence_matrix(h)
+    v_of = np.repeat(np.arange(h.num_vertices, dtype=np.int64), np.diff(incidence.indptr))
+    e_of = incidence.indices
+    v_of.flags.writeable = e_of.flags.writeable = False
+    return v_of, e_of
+
+
 def _indicator(of: np.ndarray, width: int) -> sp.csr_array:
     """Binary len(of) x width matrix with a 1 at (i, of[i]): P_v from v_of,
     P_e from e_of."""
@@ -243,11 +240,8 @@ def projections(h: Hypergraph) -> ProjectionSet:
     delta = _hyperedge_sizes(h)
     nv, ne = h.num_vertices, h.num_hyperedges
     d = vertex_degrees(h).as_array()
-    n_l = int(d.sum())
-    # Pairs in (v, e) order: v repeats d(v) times, and the incidence
-    # matrix's row v lists its e ascending.
-    v_of = np.repeat(np.arange(nv, dtype=np.int64), d)
-    e_of = incidence_matrix(h).indices
+    v_of, e_of = _pair_arrays(h)
+    n_l = len(v_of)
     p_v = _indicator(v_of, nv)
     p_e = _indicator(e_of, ne)
     h_r = sp.csr_array(sp.hstack([p_v, p_e], format="csr"))
@@ -285,10 +279,11 @@ def renormalized_operator(le: LineExpansion) -> FactoredOperator:
 
     Using s = w_v + w_e (rather than literal 2) keeps the operator invariant
     under joint scaling of (w_v, w_e); it equals 2 at w_v = w_e = 1. Built
-    from the line nodes alone as w_e P_v P_v^T + w_v P_e P_e^T with degree
-    D(v, e) = w_e d(v) + w_v delta(e) (see the module docstring), and
-    returned in that factored form: training applies it without the
-    explicit matrix, which ``.matrix`` builds on first use.
+    from the pair arrays as w_e P_v P_v^T + w_v P_e P_e^T, with P_v and P_e
+    |V| and |E| columns wide, and degree D(v, e) = w_e d(v) + w_v delta(e)
+    (see the module docstring), and returned in that factored form:
+    training applies it without the explicit matrix, which ``.matrix``
+    builds on first use.
     """
     if le.num_nodes == 0:
         raise HypergraphError("line expansion is empty")
@@ -296,8 +291,8 @@ def renormalized_operator(le: LineExpansion) -> FactoredOperator:
     d = np.bincount(v_of)[v_of]
     delta = np.bincount(e_of)[e_of]
     return FactoredOperator(
-        _indicator(v_of, v_of.max() + 1),
-        _indicator(e_of, e_of.max() + 1),
+        _indicator(v_of, le.hypergraph.num_vertices),
+        _indicator(e_of, le.hypergraph.num_hyperedges),
         1.0 / np.sqrt(le.w_e * d + le.w_v * delta),
         le.w_v,
         le.w_e,

@@ -33,18 +33,24 @@ def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
     """The line expansion as a dump (see :func:`_render_dump`), its nodes
     labeled by their (vertex, hyperedge) pairs unless ``labeled`` is False.
 
-    The edge lines are written from ``le.groups``, never from ``le.edges``:
-    the vertex groups, then the hyperedge groups, and within a group each
-    member joined to each later member, so pairs (i, j) with i < j come in
-    ascending order. One ``join`` writes all of a member's lines.
+    The node lines are written from the hypergraph's incidence lists, the
+    edge lines from ``le.groups``: the vertex groups, then the hyperedge
+    groups, and within a group each member joined to each later member, so
+    pairs (i, j) with i < j come in ascending order. One ``join`` writes
+    all of a member's lines.
     """
+    h = le.hypergraph
     out = [f"{le.num_nodes} {le.num_edges}"]
-    out += [f"{v} {e}" for v, e in le.nodes] if labeled else ["? ?"] * le.num_nodes
+    if labeled:
+        out += [f"{v} {e}" for v in range(h.num_vertices) for e in h.vertex_edges(v)]
+    else:
+        out += ["? ?"] * le.num_nodes
     for ids in chain.from_iterable(le.groups):
-        names = list(map(str, ids))
-        while len(names) > 1:
-            head = names.pop(0) + " "
-            out.append(head + ("\n" + head).join(names))
+        if len(ids) > 1:  # a lone member has no line
+            names = list(map(str, ids))
+            while len(names) > 1:
+                head = names.pop(0) + " "
+                out.append(head + ("\n" + head).join(names))
     return "\n".join(out) + "\n"
 
 

@@ -66,7 +66,7 @@ class Hypergraph:
 
     @property
     def num_pairs(self) -> int:
-        return sum(len(e) for e in self.edges)
+        return sum(map(len, self.edges))
 
 
 def _member_fault(verts: Sequence[int], num_vertices: int) -> str | None:

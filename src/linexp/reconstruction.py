@@ -70,8 +70,8 @@ class ReconstructionResult:
 def strip_labels(le: LineExpansion) -> UnlabeledGraph:
     """The line expansion's topology: the pairs within each of ``le.groups``,
     sorted. A group lists its ids ascending, so each pair has i < j, and no
-    pair repeats, as two distinct line nodes share a vertex or a hyperedge
-    but not both."""
+    pair repeats, as two distinct line nodes, distinct incidence pairs of
+    ``le.hypergraph``, share a vertex or a hyperedge but not both."""
     pairs = (p for ids in chain.from_iterable(le.groups) for p in combinations(ids, 2))
     return UnlabeledGraph(le.num_nodes, tuple(sorted(pairs)))
 
@@ -83,20 +83,18 @@ def back_project_labeled(
 ) -> Hypergraph:
     """Rebuild the hypergraph whose incidence pairs are the line-node labels.
 
-    Counts default to max label + 1, the lengths of ``le.groups``; pass
-    them explicitly to keep trailing isolated vertices. A negative id fails
-    in ``le.groups``, repeated or out-of-range vertices in
-    :class:`Hypergraph`.
+    Counts default to those of ``le.hypergraph``. Explicit counts may drop
+    trailing isolated vertices and empty hyperedges; dropping a labeled one
+    is an error (a vertex out of range fails in :class:`Hypergraph`).
     """
-    by_vertex, by_edge = le.groups
+    h = le.hypergraph
     if num_vertices is None:
-        num_vertices = len(by_vertex)
-    ne = len(by_edge)
-    if num_hyperedges is not None:
-        if num_hyperedges < ne:
-            raise HypergraphError("num_hyperedges smaller than labels require")
-        ne = num_hyperedges
-    return _hypergraph_from_pairs(num_vertices, ne, le.nodes)
+        num_vertices = h.num_vertices
+    if num_hyperedges is None:
+        num_hyperedges = h.num_hyperedges
+    elif any(h.edges[max(num_hyperedges, 0):]):
+        raise HypergraphError("num_hyperedges smaller than labels require")
+    return _hypergraph_from_pairs(num_vertices, num_hyperedges, le.nodes)
 
 
 def _hypergraph_from_pairs(num_vertices: int, num_hyperedges: int, pairs) -> Hypergraph:

@@ -79,7 +79,7 @@ def check_line_graph_equivalence(h: Hypergraph, le: LineExpansion) -> CheckResul
     (v, e) labeling: star-expansion edges are exactly the incidence pairs."""
     n_star, star_edges = star_expansion_graph(h)
     lg_edges = set(line_graph(n_star, star_edges))
-    # star_expansion_graph emits edges in h.pairs() order, matching le.nodes
+    # star edge k and line node k are both the pair h.pairs()[k]
     le_edges = {(i, j) for i, j, _ in le.edges}
     same = lg_edges == le_edges
     return CheckResult(

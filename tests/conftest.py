@@ -21,13 +21,13 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def groups_builds(monkeypatch) -> list:
-    """The nodes of every line expansion whose ``groups`` is built while the
-    test runs, one entry per build."""
+    """The hypergraph of every line expansion whose ``groups`` is built
+    while the test runs, one entry per build."""
     builds = []
     real = LineExpansion.groups.func
 
     def counted(le):
-        builds.append(le.nodes)
+        builds.append(le.hypergraph)
         return real(le)
 
     prop = cached_property(counted)

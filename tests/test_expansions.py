@@ -7,7 +7,6 @@ import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 import linexp as lx
-from linexp import formats
 from linexp.expansions import line_graph, star_expansion_graph
 from linexp.verify import check_line_graph_equivalence
 
@@ -71,7 +70,7 @@ class TestLineExpand:
     )
     def test_construction_rejects_bad_weights(self, w_v, w_e, message):
         with pytest.raises(lx.HypergraphError, match=f"^{message}$"):
-            lx.LineExpansion(((0, 0),), w_v, w_e)
+            lx.LineExpansion(lx.Hypergraph(1, ((0,),)), w_v, w_e)
 
     def test_edge_kinds_carry_weights(self, worked):
         le = lx.line_expand(worked, w_v=2.0, w_e=3.0)
@@ -296,34 +295,17 @@ class TestClosedFormOracle:
                     assert np.abs(got - expected).max() <= 1e-12
 
 
-def dict_groups(nodes):
+def dict_groups(nodes, num_vertices, num_hyperedges):
     """The line-node ids by vertex and by hyperedge, filed in dicts: one
-    group for every id up to the largest listed, empty if it has no node."""
+    group for every vertex and every hyperedge, empty if it has no node."""
     by_vertex, by_edge = {}, {}
     for i, (v, e) in enumerate(nodes):
         by_vertex.setdefault(v, []).append(i)
         by_edge.setdefault(e, []).append(i)
     return tuple(
-        tuple(tuple(by_id.get(k, ())) for k in range(max(by_id, default=-1) + 1))
-        for by_id in (by_vertex, by_edge)
+        tuple(tuple(by_id.get(k, ())) for k in range(count))
+        for by_id, count in ((by_vertex, num_vertices), (by_edge, num_hyperedges))
     )
-
-
-# Hand-built expansions with a vertex id, respectively a hyperedge id, of -1.
-NEGATIVE_IDS = {
-    "vertex": ((0, 0), (-1, 1), (2, 0)),
-    "hyperedge": ((0, 0), (1, -1), (2, 0)),
-}
-
-# Everything that reads a line expansion's ids.
-ID_READERS = {
-    "groups": lambda le: le.groups,
-    "pair_arrays": lambda le: le.pair_arrays,
-    "render_line_expansion": formats.render_line_expansion,
-    "strip_labels": lx.strip_labels,
-    "renormalized_operator": lx.renormalized_operator,
-    "back_project_labeled": lx.back_project_labeled,
-}
 
 
 class TestPairGroups:
@@ -333,31 +315,30 @@ class TestPairGroups:
         assert by_edge == ((0, 2), (1, 3, 4), (5, 6, 7))
 
     def test_empty(self):
-        assert lx.LineExpansion((), 1.0, 1.0).groups == ((), ())
-
-    def test_ids_without_nodes_get_empty_groups(self):
-        le = lx.LineExpansion(((3, 0), (0, 2), (1, 2)), 1.0, 1.0)
-        assert le.groups == (((1,), (2,), (), (0,)), ((0,), (), (1, 2)))
+        assert lx.line_expand(lx.Hypergraph(0, ())).groups == ((), ())
 
     @settings(max_examples=150, deadline=None)
-    @given(messy_hypergraphs(), st.sets(st.integers(0, 63)), st.randoms(use_true_random=False))
-    def test_matches_a_dict_grouping(self, h, dropped, random):
-        """With the nodes as built, reversed and shuffled, so that ids arrive
-        out of order, and with some nodes dropped, so that ids below the
-        largest have no node."""
-        built = tuple(h.pairs())
-        shuffled = random.sample(built, len(built))
-        kept = tuple(p for i, p in enumerate(built) if i not in dropped)
-        for nodes in (built, built[::-1], tuple(shuffled), kept, kept[::-1]):
-            assert lx.LineExpansion(nodes, 1.0, 1.0).groups == dict_groups(nodes)
-
-    @pytest.mark.parametrize("reader", ID_READERS)
-    @pytest.mark.parametrize("kind", NEGATIVE_IDS)
-    def test_negative_id_rejected(self, kind, reader):
-        """Construction does not look at the ids; every reader rejects them."""
-        le = lx.LineExpansion(NEGATIVE_IDS[kind], 1.0, 1.0)
-        with pytest.raises(lx.HypergraphError, match=f"^{kind} id -1 out of range$"):
-            ID_READERS[reader](le)
+    @given(messy_hypergraphs(), st.integers(0, 2), st.integers(0, 2))
+    def test_matches_a_dict_grouping(self, h, isolated, empty):
+        """Every view of the expansion against the pairs of ``h``, with
+        trailing isolated vertices and trailing empty hyperedges added: the
+        nodes, the groups (one per vertex and per hyperedge), the pair
+        arrays (the columns of P_v and P_e, where ``h`` has no empty
+        hyperedge) and the operator's widths."""
+        h = lx.Hypergraph(h.num_vertices + isolated, h.edges + ((),) * empty)
+        nv, ne = h.num_vertices, h.num_hyperedges
+        le = lx.line_expand(h)
+        assert le.nodes == tuple(h.pairs())
+        assert le.groups == dict_groups(le.nodes, nv, ne)
+        v_of, e_of = le.pair_arrays
+        assert v_of.dtype == e_of.dtype == np.int64
+        if not empty:
+            p = lx.projections(h)
+            assert v_of.tolist() == p.p_v.indices.tolist()
+            assert e_of.tolist() == p.p_e.indices.tolist()
+        op = lx.renormalized_operator(le)
+        assert op.p_v.shape == (le.num_nodes, nv)
+        assert op.p_e.shape == (le.num_nodes, ne)
 
     def test_edges_built_on_demand_and_kept(self, worked):
         le = lx.line_expand(worked)

@@ -9,7 +9,7 @@ import linexp as lx
 from linexp import formats
 from linexp.expansions import size_formulas
 from linexp.hypergraph import ParseError, _read_header
-from linexp.reconstruction import UnlabeledGraph, back_project_labeled
+from linexp.reconstruction import UnlabeledGraph, _hypergraph_from_pairs
 
 from test_expansions import messy_hypergraphs
 
@@ -166,7 +166,8 @@ def loop_parse(text):
 
 def loop_hypergraph(graph, labels):
     """The per-edge label check that the array check replaced."""
-    h = back_project_labeled(lx.LineExpansion(tuple(labels), 1.0, 1.0))
+    nv, ne = (max((pair[k] for pair in labels), default=-1) + 1 for k in (0, 1))
+    h = _hypergraph_from_pairs(nv, ne, labels)
     for i, j in graph.edges:
         (v, e), (u, f) = labels[i], labels[j]
         if v != u and e != f:
