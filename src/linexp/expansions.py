@@ -29,6 +29,7 @@ arrays v_of, e_of (the row and the column of each entry of H):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -167,8 +168,11 @@ class FactoredOperator:
         scale = self.d_inv_sqrt[:, None]
         z = scale * h
         # .T of a CSR array is its CSC view: P^T z sums each group's rows.
-        out = self.w_e * (self.p_v @ (self.p_v.T @ z))
-        out += self.w_v * (self.p_e @ (self.p_e.T @ z))
+        out = self.p_v @ (self.p_v.T @ z)
+        out *= self.w_e
+        tail = self.p_e @ (self.p_e.T @ z)
+        tail *= self.w_v
+        out += tail
         out *= scale
         return out
 
@@ -188,7 +192,7 @@ def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpans
 
 def _check_weights(w_v: float, w_e: float) -> None:
     """The similarity weights are finite, nonnegative and not both zero."""
-    if not np.isfinite((w_v, w_e)).all():
+    if not (math.isfinite(w_v) and math.isfinite(w_e)):
         raise HypergraphError("weights must be finite")
     if w_v < 0 or w_e < 0:
         raise HypergraphError("weights must be nonnegative")
@@ -226,9 +230,9 @@ def _pair_arrays(h: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
 
 def _indicator(of: np.ndarray, width: int) -> sp.csr_array:
     """Binary len(of) x width matrix with a 1 at (i, of[i]): P_v from v_of,
-    P_e from e_of."""
+    P_e from e_of. Built as CSR directly, one entry per row."""
     n = len(of)
-    return sp.csr_array((np.ones(n), (np.arange(n), of)), shape=(n, width))
+    return sp.csr_array((np.ones(n), of, np.arange(n + 1)), shape=(n, width))
 
 
 def projections(h: Hypergraph) -> ProjectionSet:
@@ -244,7 +248,11 @@ def projections(h: Hypergraph) -> ProjectionSet:
     n_l = len(v_of)
     p_v = _indicator(v_of, nv)
     p_e = _indicator(e_of, ne)
-    h_r = sp.csr_array(sp.hstack([p_v, p_e], format="csr"))
+    # H_r = [P_v, P_e]: row (v, e) holds columns v and |V| + e, ascending.
+    h_r_columns = np.column_stack([v_of, nv + e_of]).ravel()
+    h_r = sp.csr_array(
+        (np.ones(2 * n_l), h_r_columns, np.arange(0, 2 * n_l + 1, 2)), shape=(n_l, nv + ne)
+    )
 
     # bincount adds in pair order, i.e. e ascending per vertex and v
     # ascending per hyperedge.

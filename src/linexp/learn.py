@@ -202,19 +202,34 @@ class TrainReport:
         return asdict(self)
 
 
-def _activate(s: np.ndarray, kind: str, slope: float) -> np.ndarray:
+def _buffer(workspace: dict | None, key: tuple[str, int], shape: tuple[int, int]) -> np.ndarray:
+    """The array ``workspace[key]``, allocated on first use; a new array when
+    there is no workspace."""
+    if workspace is None:
+        return np.empty(shape)
+    out = workspace.get(key)
+    if out is None or out.shape != shape:
+        out = workspace[key] = np.empty(shape)
+    return out
+
+
+def _activate(s: np.ndarray, kind: str, slope: float, out: np.ndarray) -> np.ndarray:
+    """The activation of ``s``, written into ``out``."""
     if kind == "relu":
-        return np.maximum(s, 0.0)
+        return np.maximum(s, 0.0, out=out)
     if kind == "leaky-relu":
-        return np.where(s > 0, s, slope * s)
+        np.multiply(s, slope, out=out)
+        np.copyto(out, s, where=s > 0)
+        return out
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activate_grad(s: np.ndarray, kind: str, slope: float) -> np.ndarray:
+def _activate_grad(dh: np.ndarray, s: np.ndarray, kind: str, slope: float) -> np.ndarray:
+    """dh times the activation's derivative at ``s``, written into ``dh``."""
     if kind == "relu":
-        return (s > 0).astype(np.float64)
+        return np.multiply(dh, s > 0, out=dh)
     if kind == "leaky-relu":
-        return np.where(s > 0, 1.0, slope)
+        return np.multiply(dh, np.where(s > 0, 1.0, slope), out=dh)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -267,13 +282,25 @@ def conv_forward(
     apply_activation: bool,
     layer_index: int = 0,
     propagated: bool = False,
+    workspace: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One convolution layer, s = op @ h @ theta. Returns (output, cached,
     preactivation), where cached is the layer's operand (see
-    :func:`_operand`). With ``propagated``, ``h`` is that operand already."""
+    :func:`_operand`). With ``propagated``, ``h`` is that operand already.
+
+    The product with theta and the activation are written into the arrays
+    that ``workspace`` keeps for layer ``layer_index`` (see :func:`train`),
+    so the returned output and preactivation may be those arrays. Without a
+    workspace every array is new."""
     m = h if propagated else _operand(op, theta, h)
-    s = op @ (m @ theta) if _theta_first(theta) else m @ theta
-    out = _activate(s, activation, leaky_slope) if apply_activation else s
+    shape = (m.shape[0], theta.shape[1])
+    product = np.matmul(m, theta, out=_buffer(workspace, ("product", layer_index), shape))
+    s = op @ product if _theta_first(theta) else product
+    out = s
+    if apply_activation:
+        out = _activate(
+            s, activation, leaky_slope, _buffer(workspace, ("activation", layer_index), shape)
+        )
     if not np.isfinite(out).all():
         raise NumericError(layer_index)
     return out, m, s
@@ -285,17 +312,22 @@ def forward(
     p: ProjectionSet,
     x: np.ndarray,
     operand: np.ndarray | None = None,
+    workspace: dict | None = None,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Full pipeline; caches conv_forward's (cached, preactivation) per
     layer. ``operand``, if given, is layer 0's operand on ``op`` for these
-    features, ``_operand(op, model.thetas[0], feature_project(p, x))``."""
+    features, ``_operand(op, model.thetas[0], feature_project(p, x))``.
+
+    With a ``workspace`` every layer writes into its arrays, so the caches
+    hold them until the next forward on that workspace overwrites them.
+    Without one, each call's caches are new arrays."""
     h = feature_project(p, x) if operand is None else operand
     caches = []
     last = len(model.thetas) - 1
     for k, theta in enumerate(model.thetas):
         h, m, s = conv_forward(
             op, theta, h, model.activation, model.leaky_slope, k != last, k,
-            k == 0 and operand is not None,
+            k == 0 and operand is not None, workspace,
         )
         caches.append((m, s))
     return representation_project(p, h), caches
@@ -326,8 +358,15 @@ def backward(
     labels: np.ndarray,
     mask: np.ndarray,
     weight_decay: float = 0.0,
+    workspace: dict | None = None,
 ) -> list[np.ndarray]:
-    """Exact gradients of the masked cross-entropy wrt every theta."""
+    """Exact gradients of the masked cross-entropy wrt every theta.
+
+    ``caches`` is read, never written. The activation's derivative is
+    applied in place to the gradient wrt each activated layer's output, and
+    the gradient wrt a narrowing layer's input is written into the array
+    ``workspace`` keeps for it (see :func:`train`); without a workspace that
+    array is new."""
     idx = np.flatnonzero(mask)
     d_logits = np.zeros_like(logits)
     probs = softmax(logits[idx])
@@ -340,15 +379,13 @@ def backward(
     for k in range(last, -1, -1):
         m, s = caches[k]
         theta = model.thetas[k]
-        ds = dh if k == last else dh * _activate_grad(
-            s, model.activation, model.leaky_slope
-        )
+        ds = dh if k == last else _activate_grad(dh, s, model.activation, model.leaky_slope)
         if _theta_first(theta):
             # s = op @ (h @ theta): one op.T at d_out serves both gradients.
             g = op.T @ ds
             grads[k] = m.T @ g + weight_decay * theta
             if k > 0:
-                dh = g @ theta.T
+                dh = np.matmul(g, theta.T, out=_buffer(workspace, ("dh", k), (len(g), len(theta))))
         else:
             grads[k] = m.T @ ds + weight_decay * theta
             if k > 0:
@@ -487,6 +524,12 @@ def train(
 
     Returns the best-validation model when a validation mask exists,
     otherwise the final model. Early stopping only ends the loop sooner.
+
+    The call owns one workspace: the line-node-wide arrays that an epoch
+    writes, each layer's product with theta and activation and backward's
+    gradient wrt a narrowing layer's input. The first epoch allocates them
+    and every later one writes into them in place; they are released when
+    the call returns.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -502,6 +545,7 @@ def train(
     # Layer 0's operand holds no parameter: build it once per operator.
     h0 = feature_project(p, x)
     full_operand = _operand(full_op, thetas[0], h0)
+    workspace: dict = {}
 
     scfg = SamplingConfig(config.delta_v, config.delta_e, config.seed)
     losses: list[float] = []
@@ -519,9 +563,9 @@ def train(
         # holds the full-operator logits and caches of the current model.
         if config.sampling:
             op = sampled_operator(le, scfg, rng).matrix
-            logits, caches = forward(model, op, p, x, _operand(op, thetas[0], h0))
+            logits, caches = forward(model, op, p, x, _operand(op, thetas[0], h0), workspace)
         elif epoch == 0:
-            logits, caches = forward(model, op, p, x, full_operand)
+            logits, caches = forward(model, op, p, x, full_operand, workspace)
         sampled_arcs.append(op.nnz if config.sampling else 0)
         loss = cross_entropy(logits, dataset.labels, dataset.train_mask)
         if config.weight_decay:
@@ -539,13 +583,14 @@ def train(
             dataset.labels,
             dataset.train_mask,
             config.weight_decay,
+            workspace,
         )
         for t, g in zip(model.thetas, grads):
             t -= config.lr * g
         losses.append(loss)
         grad_norms.append(math.sqrt(sum(float((g**2).sum()) for g in grads)))
 
-        logits, caches = forward(model, full_op, p, x, full_operand)
+        logits, caches = forward(model, full_op, p, x, full_operand, workspace)
         val = accuracy(logits, dataset.labels, dataset.val_mask)
         val_accs.append(val)
         epoch_seconds.append(time.perf_counter() - epoch_start)
@@ -560,7 +605,7 @@ def train(
                     break
 
     final = best_model if dataset.val_mask.any() else model
-    final_logits, _ = forward(final, full_op, p, x, full_operand)
+    final_logits, _ = forward(final, full_op, p, x, full_operand, workspace)
     test_acc = accuracy(final_logits, dataset.labels, dataset.test_mask)
     report = TrainReport(
         losses=losses,

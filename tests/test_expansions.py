@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import networkx as nx
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import linexp as lx
@@ -265,6 +266,24 @@ class TestClosedFormOracle:
         assert np.array_equal(p.h_r.toarray(), np.hstack([p_v, p_e]))
         assert np.abs(p.p_v_back.toarray() - p_v_back).max() <= 1e-12
         assert np.abs(p.p_e_back.toarray() - p_e_back).max() <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_indicators_match_the_coo_build(self, h):
+        # P_v, P_e and H_r are built as CSR directly; the COO and hstack
+        # builds are the reference, stored array by stored array.
+        p = lx.projections(h)
+        op = lx.renormalized_operator(lx.line_expand(h))
+        v_of, e_of = np.array(h.pairs(), dtype=np.int64).T
+        n = len(v_of)
+        p_v = sp.csr_array((np.ones(n), (np.arange(n), v_of)), shape=(n, h.num_vertices))
+        p_e = sp.csr_array((np.ones(n), (np.arange(n), e_of)), shape=(n, h.num_hyperedges))
+        h_r = sp.csr_array(sp.hstack([p_v, p_e], format="csr"))
+        for got, expected in ((p.p_v, p_v), (op.p_v, p_v), (p.p_e, p_e), (op.p_e, p_e),
+                              (p.h_r, h_r)):
+            assert got.shape == expected.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name))
 
     @settings(max_examples=150, deadline=None)
     @given(messy_hypergraphs())

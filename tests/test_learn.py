@@ -1,4 +1,6 @@
+import inspect
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -102,6 +104,54 @@ RECORDED_NARROW_SAMPLED = {
     ],
     "val_accuracies": [1 / 2, 1 / 3, 0, 0, 0, 0, 0],
     "test_accuracy": 0.25,
+}
+
+
+# recorded_config with a leaky ReLU of slope 0.2, recorded with every
+# line-node-wide array allocated afresh in every epoch.
+RECORDED_LEAKY_FULL = {
+    "losses": [
+        1.1123240430644146, 1.0674813548060116, 1.0312169929332837,
+        0.9969356355692465, 0.9639342378811684, 0.9337278504737047,
+        0.9078892037736083, 0.8866018578486834, 0.8696982262901785,
+        0.8567562816792333, 0.8462703181089424, 0.8374855337552605,
+        0.8297665366670698, 0.8228824409709642, 0.8165919912660536,
+        0.8107344652908661, 0.8052269786476026, 0.800093249189181,
+        0.7951352744168811, 0.7903096817548095,
+    ],
+    "grad_norms": [
+        0.15541411635096095, 0.1376905092240603, 0.13188027354933496,
+        0.12943095634709473, 0.1252313536563824, 0.1163119871614114,
+        0.10602076698242723, 0.09484051361302706, 0.08263104917303055,
+        0.07417981064819379, 0.06748266116367972, 0.06312697617029657,
+        0.05941184693225133, 0.056656206793502785, 0.05453092211028921,
+        0.05293610091862122, 0.05091860733759755, 0.04997684372313363,
+        0.04928510647750132, 0.048929474938517716,
+    ],
+    "val_accuracies": [0, 0, 0, 0, 1 / 6, 1 / 6, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3,
+                       1 / 2, 1 / 2, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3],
+    "test_accuracy": 0.875,
+}
+RECORDED_LEAKY_SAMPLED = {
+    "losses": [
+        1.119807128970391, 1.0572208775269336, 1.0408073296857763,
+        0.9657899162844454, 0.9554458347110908, 0.9473739994087044,
+        0.9339197674541664, 0.9274601190448555, 0.8132642100439833,
+        0.9020593315194988, 0.9009077630800448, 0.8773354542641469,
+        0.8275836887285442, 0.885428599401487, 0.8747032766407983,
+        0.8928527512561834,
+    ],
+    "grad_norms": [
+        0.16708219767460136, 0.15226520133927027, 0.13117782099380101,
+        0.14660725279053402, 0.1495532144168892, 0.09838555164066567,
+        0.08673237590268615, 0.09294673531281095, 0.13261366299235464,
+        0.10149275880717311, 0.09948740789368042, 0.07631993352295209,
+        0.07653937347919758, 0.06982698737041274, 0.07327398436581477,
+        0.07748101604236972,
+    ],
+    "val_accuracies": [0, 0, 1 / 6, 1 / 2, 1 / 2, 1 / 3, 1 / 3, 1 / 3, 1 / 3, 2 / 3,
+                       2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3],
+    "test_accuracy": 0.875,
 }
 
 
@@ -318,6 +368,33 @@ class TestForwardBackward:
         g1 = backward(model, op, p, logits, caches, labels, mask, 0.1)
         for a, b, t in zip(g0, g1, model.thetas):
             assert np.allclose(b - a, 0.1 * t, atol=1e-12)
+
+    def deep_problem(self, activation):
+        # Widths 3 -> 8 -> 8 -> 3: layers 0 and 1 propagate before theta,
+        # layer 2 narrows, so backward keeps its input gradient.
+        h, ds = recorded_problem()
+        le = line_expand(h)
+        model = make_model(h, 3, 8, 3, 3, seed=2)
+        model.activation, model.leaky_slope = activation, 0.2
+        return model, renormalized_operator(le), projections(h), ds
+
+    def test_forward_without_workspace_returns_new_arrays(self):
+        model, op, p, ds = self.deep_problem("relu")
+        first = forward(model, op, p, ds.features)
+        second = forward(model, op, p, ds.features)
+        for a in chain([first[0]], *first[1]):
+            for b in chain([second[0]], *second[1]):
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky-relu"])
+    @pytest.mark.parametrize("workspace", [None, {}], ids=["new-arrays", "workspace"])
+    def test_backward_leaves_caches_unchanged(self, activation, workspace):
+        model, op, p, ds = self.deep_problem(activation)
+        logits, caches = forward(model, op, p, ds.features)
+        before = [(m.copy(), s.copy()) for m, s in caches]
+        backward(model, op, p, logits, caches, ds.labels, ds.train_mask, 0.0, workspace)
+        for (m, s), (m0, s0) in zip(caches, before):
+            assert np.array_equal(m, m0) and np.array_equal(s, s0)
 
     def test_accuracy(self):
         logits = np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
@@ -547,6 +624,34 @@ class TestTrain:
         assert report.losses == pytest.approx(expected["losses"], rel=1e-12)
         assert report.val_accuracies == pytest.approx(expected["val_accuracies"], rel=1e-12)
         assert report.test_accuracy == expected["test_accuracy"]
+
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_recorded_leaky_relu_run(self, sampling):
+        config = replace(recorded_config(sampling), activation="leaky-relu", leaky_slope=0.2)
+        _, report = lx.train(*recorded_problem(), config)
+        expected = RECORDED_LEAKY_SAMPLED if sampling else RECORDED_LEAKY_FULL
+        assert report.losses == expected["losses"]
+        assert report.grad_norms == expected["grad_norms"]
+        assert report.val_accuracies == expected["val_accuracies"]
+        assert report.test_accuracy == expected["test_accuracy"]
+
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_later_epochs_write_into_the_same_arrays(self, monkeypatch, sampling):
+        # Layer 0 widens 3 features to 8, so its preactivation is its
+        # product with theta, which the call's workspace keeps.
+        preactivations = []
+        signature = inspect.signature(backward)
+
+        def recording_backward(*args, **kwargs):
+            caches = signature.bind(*args, **kwargs).arguments["caches"]
+            preactivations.append(caches[0][1])
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(lx.learn, "backward", recording_backward)
+        _, report = lx.train(*recorded_problem(), recorded_config(sampling))
+        assert len(preactivations) == len(report.losses) > 3
+        for s in preactivations[2:]:
+            assert np.shares_memory(preactivations[1], s)
 
     def test_first_layer_operand_built_once(self, monkeypatch):
         # Widths d_in = 5, hidden = 8 and 3 classes all differ, so an

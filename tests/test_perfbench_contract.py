@@ -81,3 +81,24 @@ def test_conv_layer_reads_layer_index(bench):
     assert list(signature.parameters).index("layer_index") == 6
     args = tuple(range(7))
     assert bench.tracing._conv_layer(args, {}) == signature.bind(*args).arguments["layer_index"]
+
+
+@pytest.mark.parametrize("sampling", [False, True])
+def test_conv_layer_names_every_layer(bench, monkeypatch, sampling):
+    """The tracer names each ``conv_forward`` span by ``_conv_layer``. Every
+    layer that ``train()`` runs must read as its own name, or the per-layer
+    metrics ``learn.conv_forward.0_s`` and ``.1_s`` would fold together."""
+    learn = bench.lx.learn
+    conv_forward = learn.conv_forward
+    names = set()
+
+    def recording_conv_forward(*args, **kwargs):
+        names.add(f"learn.conv_forward.{bench.tracing._conv_layer(args, kwargs)}")
+        return conv_forward(*args, **kwargs)
+
+    monkeypatch.setattr(learn, "conv_forward", recording_conv_forward)
+    h, ds = learn.separable_toy(vertices_per_class=4, seed=0)
+    config = bench.lx.TrainConfig(epochs=2, layers=3, seed=0, sampling=sampling,
+                                  delta_v=2, delta_e=2)
+    bench.lx.train(h, ds, config)
+    assert names == {f"learn.conv_forward.{k}" for k in range(config.layers)}
