@@ -7,9 +7,23 @@ float ones. Over a corpus, a check reports its first failing instance's seed.
 Each instance's line expansion ``le = line_expand(h)``, at unit weights, is
 built once, and every ``check_*`` takes it with the hypergraph as
 ``(h, le)``, so the line edges are built once per instance.
+
+A generated corpus runs three checks once each, on a disjoint union:
+``observation-identities`` on the union of the corpus (with its own
+``line_expand``), ``star-equivalence`` on the union of the instances with no
+isolated vertex, and ``simple-graph-factor`` on the union of the generated
+graphs. The union shifts each instance's ids by the sizes before it, so its
+``H`` is block-diagonal, and so is every matrix these checks compare: each
+compared entry belongs to one instance, and an identity holds on the union
+iff it holds on every instance. A passing union reports what the
+per-instance scan would. A failing one is scanned again instance by
+instance, so the result names the first failing instance, its detail and
+its seed, and counts it in ``instances``. A corpus of one instance, such as
+``--input``, is checked as itself, with no union.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 from collections.abc import Callable
 
@@ -154,10 +168,9 @@ def random_connected_graph(n: int, p: float, seed: int) -> UnlabeledGraph:
         a = int(order[k])
         b = int(order[rng.integers(k)])
         edges.add((min(a, b), max(a, b)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.add((i, j))
+    i, j = np.triu_indices(n, 1)
+    extra = rng.random(len(i)) < p
+    edges.update(zip(i[extra].tolist(), j[extra].tolist()))
     return UnlabeledGraph.from_edges(n, edges)
 
 
@@ -175,6 +188,46 @@ def _first_failure(
             tag = f" (seed {inst_seed})" if inst_seed is not None else ""
             return CheckResult(name, False, res.detail + tag, k, time.perf_counter() - start)
     return CheckResult(name, True, pass_detail, len(instances), time.perf_counter() - start)
+
+
+def _disjoint_union(cls, parts):
+    """``cls(n, edges)``, the disjoint union of ``parts``, each a pair
+    ``(size, edges)``: a part's ids are shifted by the sizes before it, so
+    the union's incidence matrix is block-diagonal, in the parts' order."""
+    edges, offset = [], 0
+    for size, part_edges in parts:
+        edges += [tuple(v + offset for v in verts) for verts in part_edges]
+        offset += size
+    return cls(offset, tuple(edges))
+
+
+def _union_first(
+    name: str, instances: list, check: Callable, union: Callable, pass_detail: str = ""
+) -> CheckResult:
+    """``check(*union(instances))`` once, on the instances' disjoint union,
+    whose verdict is every instance's: each entry the check compares lies in
+    one instance's block. A pass reports what :func:`_first_failure` would.
+    A failure, and a corpus of at most one instance, is left to
+    :func:`_first_failure`, which names the failing instance and its seed.
+    ``seconds`` counts the union and any scan after it."""
+    start = time.perf_counter()
+    if len(instances) > 1 and check(*union(instances)).passed:
+        return CheckResult(name, True, pass_detail, len(instances), time.perf_counter() - start)
+    res = _first_failure(name, instances, check, pass_detail)
+    return dataclasses.replace(res, seconds=time.perf_counter() - start)
+
+
+def _hypergraph_union(instances: list) -> tuple[Hypergraph]:
+    return (_disjoint_union(Hypergraph, ((h.num_vertices, h.edges) for h, *_ in instances)),)
+
+
+def _expanded_union(instances: list) -> tuple[Hypergraph, LineExpansion]:
+    (u,) = _hypergraph_union(instances)
+    return u, line_expand(u)
+
+
+def _graph_union(instances: list) -> tuple[UnlabeledGraph]:
+    return (_disjoint_union(UnlabeledGraph, ((g.num_nodes, g.edges) for g, _ in instances)),)
 
 
 def run_verification(
@@ -198,9 +251,14 @@ def run_verification(
 
     pass_detail = f"{len(corpus)} instance(s)"
     results = [
+        _union_first(
+            "observation-identities", corpus, check_observation_identities,
+            _expanded_union, pass_detail,
+        )
+    ]
+    results += [
         _first_failure(name, corpus, check, pass_detail)
         for name, check in (
-            ("observation-identities", check_observation_identities),
             ("size-formulas", check_size_formulas),
             ("line-graph-of-star-expansion", check_line_graph_equivalence),
             ("labeled-round-trip", check_labeled_round_trip),
@@ -211,7 +269,9 @@ def run_verification(
     no_isolated = [
         (h, s) for h, _, s in corpus if all(h.vertex_edges(v) for v in range(h.num_vertices))
     ]
-    results.append(_first_failure("star-equivalence", no_isolated, check_star_equivalence))
+    results.append(
+        _union_first("star-equivalence", no_isolated, check_star_equivalence, _hypergraph_union)
+    )
 
     if hypergraph is None:
         rng2 = np.random.default_rng(seed + 7)
@@ -219,7 +279,9 @@ def run_verification(
         for t in range(min(trials, 50)):
             n, p = int(rng2.integers(2, 30)), float(rng2.uniform(0.05, 0.4))
             graphs.append((random_connected_graph(n, p, seed + t), seed + t))
-        results.append(_first_failure("simple-graph-factor", graphs, check_simple_graph_factor))
+        results.append(
+            _union_first("simple-graph-factor", graphs, check_simple_graph_factor, _graph_union)
+        )
 
     if reconstruct:
         if hypergraph is None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import networkx as nx
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import linexp as lx
 from linexp.expansions import line_graph, star_expansion_graph
@@ -325,6 +325,46 @@ def dict_groups(nodes, num_vertices, num_hyperedges):
         tuple(tuple(by_id.get(k, ())) for k in range(count))
         for by_id, count in ((by_vertex, num_vertices), (by_edge, num_hyperedges))
     )
+
+
+class TestDualSymmetry:
+    """Vertices and hyperedges are treated alike: LE(h*) of the dual
+    h* = dual_hypergraph(h) is LE(h) with line node (v, e) renamed (e, v).
+    ``perm[k]`` is the index in ``h.pairs()`` of the k-th pair of h*. The
+    operator test runs both h and h* as the input, so an isolated vertex and
+    an empty hyperedge both occur there."""
+
+    weights = st.sampled_from(
+        [(a, b) for a in (0.0, 0.3, 1.0, 2.0, 7.0) for b in (0.0, 0.3, 1.0, 2.0, 7.0) if a or b]
+    )
+
+    @staticmethod
+    def dual_and_perm(h):
+        dual = lx.dual_hypergraph(h)
+        index = {pair: k for k, pair in enumerate(h.pairs())}
+        return dual, np.array([index[(v, e)] for e, v in dual.pairs()], dtype=np.int64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs(), weights)
+    def test_operator_of_the_dual_swaps_the_weights(self, h, ab):
+        a, b = ab
+        for g in (h, lx.dual_hypergraph(h)):
+            dual, perm = self.dual_and_perm(g)
+            got = lx.renormalized_operator(lx.line_expand(dual, w_v=b, w_e=a)).matrix
+            op = lx.renormalized_operator(lx.line_expand(g, w_v=a, w_e=b)).matrix
+            expected = sp.csr_array(op[perm][:, perm])
+            assert got.shape == expected.shape
+            assert (got != expected).nnz == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_back_projections_of_the_dual(self, h):
+        dual, perm = self.dual_and_perm(h)
+        assume(all(h.edges) and all(dual.edges))  # projections rejects an empty hyperedge
+        got = lx.projections(dual).p_v_back
+        expected = sp.csr_array(lx.projections(h).p_e_back[:, perm])
+        assert got.shape == expected.shape
+        assert (got != expected).nnz == 0
 
 
 class TestPairGroups:

@@ -3,6 +3,7 @@ import json
 import re
 
 import networkx as nx
+import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import linexp as lx
 from linexp import unify, verify
 from linexp.cli import main
-from linexp.reconstruction import NotALineExpansionError
+from linexp.reconstruction import NotALineExpansionError, UnlabeledGraph
 from linexp.unify import CheckResult, check_star_equivalence
 from linexp.verify import run_verification
 
@@ -78,15 +79,16 @@ def test_observation_identities_catch_one_changed_entry(
 @pytest.mark.parametrize(
     "kwargs, instances",
     [
-        (dict(trials=40, seed=1), 40),
-        (dict(trials=40, seed=5), 40),
+        (dict(trials=40, seed=1), 40 + 1),  # the union's, for observation-identities
+        (dict(trials=40, seed=5), 40 + 1),
         (dict(hypergraph=lx.parse_hypergraph(WORKED_EXAMPLE_TEXT)), 1),  # --input
     ],
     ids=["seed-1", "seed-5", "input"],
 )
 def test_one_line_expansion_per_instance(monkeypatch, groups_builds, kwargs, instances):
     """Every check reads the instance's one line expansion, whose line edges
-    are built once."""
+    are built once; a corpus adds one for the disjoint union of its
+    instances."""
     expansions = []
     real_expand = verify.line_expand
 
@@ -217,3 +219,185 @@ def test_is_connected_matches_star_graph_oracle(h):
         g.add_edges_from((("v", v), ("e", e)) for e, verts in enumerate(h.edges) for v in verts)
         expected = nx.is_connected(g)
     assert verify.is_connected(h) == expected
+
+
+def _recording_corpus(monkeypatch) -> dict:
+    """Record, in order, every hypergraph and graph ``run_verification``
+    generates, each with its seed."""
+    recorded = {"hypergraphs": [], "graphs": []}
+    for name, key in (("random_hypergraph", "hypergraphs"), ("random_connected_graph", "graphs")):
+        def recording(*args, real=getattr(verify, name), key=key):
+            x = real(*args)
+            recorded[key].append((x, args[-1]))
+            return x
+
+        monkeypatch.setattr(verify, name, recording)
+    return recorded
+
+
+def _no_isolated(h: lx.Hypergraph) -> bool:
+    return all(map(h.vertex_edges, range(h.num_vertices)))
+
+
+# name -> (its instances in a recorded corpus, as (instance, seed); the
+# check; one instance's check arguments; the pass detail over `trials`)
+UNION_CHECKS = {
+    "observation-identities": (
+        lambda rec: rec["hypergraphs"],
+        verify.check_observation_identities,
+        lambda h: (h, lx.line_expand(h)),
+        lambda trials: f"{trials} instance(s)",
+    ),
+    "star-equivalence": (
+        lambda rec: [(h, s) for h, s in rec["hypergraphs"] if _no_isolated(h)],
+        check_star_equivalence,
+        lambda h: (h,),
+        lambda trials: "",
+    ),
+    "simple-graph-factor": (
+        lambda rec: rec["graphs"],
+        unify.check_simple_graph_factor,
+        lambda g: (g,),
+        lambda trials: "",
+    ),
+}
+
+
+def _scan(name: str, members: list, trials: int) -> CheckResult:
+    """The per-instance scan of check ``name`` over ``members``."""
+    _, check, args, pass_detail = UNION_CHECKS[name]
+    instances = [(*args(x), s) for x, s in members]
+    return verify._first_failure(name, instances, check, pass_detail(trials))
+
+
+CORPORA = [(40, 11), (40, 2_000_000), (60, 12), (60, 3), (200, 13)]
+
+
+@pytest.mark.parametrize("trials, seed", CORPORA)
+@pytest.mark.parametrize("name", UNION_CHECKS)
+def test_a_union_check_agrees_with_the_per_instance_scan(monkeypatch, name, trials, seed):
+    recorded = _recording_corpus(monkeypatch)
+    unions = []
+    real_union = verify._disjoint_union
+
+    def counted_union(cls, parts):
+        unions.append(cls)
+        return real_union(cls, parts)
+
+    monkeypatch.setattr(verify, "_disjoint_union", counted_union)
+    res = {r.name: r for r in run_verification(trials, seed, reconstruct=True)}[name]
+    assert unions == [lx.Hypergraph, lx.Hypergraph, UnlabeledGraph]  # one per union check
+    members = UNION_CHECKS[name][0](recorded)
+    scan = _scan(name, members, trials)
+    assert scan.passed
+    assert (res, res.instances) == (scan, scan.instances)
+
+
+def _add_one(a: sp.csr_array, i: int, j: int) -> sp.csr_array:
+    a = a.tolil()
+    a[i, j] += 1.0
+    return sp.csr_array(a)
+
+
+def _size(x) -> int:
+    return x.num_vertices if isinstance(x, lx.Hypergraph) else x.num_nodes
+
+
+# name -> (where the planted fault goes, and what it does to the result at
+# instance vertex `i`, shifted into the instance's block, of instance `x`)
+PLANTS = {
+    "observation-identities": (
+        verify, "vertex_degrees",
+        lambda d, i, h: lx.DegreeVector(d.values[:i] + (d.values[i] + 1,) + d.values[i + 1:]),
+    ),
+    "star-equivalence": (unify, "star_adjacency", lambda a, i, h: _add_one(a, i, i)),
+    "simple-graph-factor": (
+        unify, "simple_graph_adjacency",
+        lambda a, i, g: _add_one(a, g.edges[0][0] + i, g.edges[0][1] + i),
+    ),
+}
+
+
+@pytest.mark.parametrize("trials, seed", CORPORA)
+@pytest.mark.parametrize("name", UNION_CHECKS)
+def test_a_fault_in_instance_k_fails_as_instance_k(monkeypatch, name, trials, seed):
+    """One entry of instance k's block is changed, whether the check sees
+    instance k alone or the union's block of it. The union fails, and the
+    result names instance k, its seed and its detail, as the per-instance
+    scan does."""
+    members_of = UNION_CHECKS[name][0]
+    module, attr, perturb = PLANTS[name]
+    real = getattr(module, attr)
+    with monkeypatch.context() as m:
+        recorded = _recording_corpus(m)
+        run_verification(trials, seed)
+        n = len(members_of(recorded))
+    for k in sorted({1, n // 2 + 1, n}):
+        with monkeypatch.context() as m:
+            recorded = _recording_corpus(m)
+
+            def planted(x):
+                out = real(x)
+                insts = [y for y, _ in members_of(recorded)]
+                if x is insts[k - 1]:
+                    return perturb(out, 0, x)
+                if _size(x) == sum(map(_size, insts)):  # their union
+                    return perturb(out, sum(map(_size, insts[: k - 1])), insts[k - 1])
+                return out
+
+            m.setattr(module, attr, planted)
+            res = {r.name: r for r in run_verification(trials, seed)}[name]
+            members = members_of(recorded)
+            assert len(members) == n
+            assert (res.passed, res.instances) == (False, k)
+            assert res.detail.endswith(f" (seed {members[k - 1][1]})")
+            scan = _scan(name, members, trials)
+            assert (res, res.instances) == (scan, scan.instances)
+
+
+def test_no_union_of_at_most_one_instance(monkeypatch):
+    """An empty corpus builds nothing; a corpus of one instance checks it
+    as itself, with its own line expansion and no union."""
+    expansions, unions = [], []
+    for name, calls in (("line_expand", expansions), ("_disjoint_union", unions)):
+        def counted(*args, real=getattr(verify, name), calls=calls):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    empty = run_verification(0, 1, reconstruct=True)
+    assert [(r.passed, r.instances) for r in empty] == [(True, 0)] * 7
+    assert (expansions, unions) == ([], [])
+
+    one = run_verification(1, 3, reconstruct=True)
+    assert all(r.passed for r in one), one
+    assert [r.instances for r in one] == [1, 1, 1, 1, 0, 1, 0]
+    assert one[4].name == "star-equivalence"
+    assert (len(expansions), unions) == (1, [])
+
+
+def _scalar_random_connected_graph(n: int, p: float, seed: int) -> UnlabeledGraph:
+    """random_connected_graph with one ``rng.random()`` per candidate extra
+    edge, i < j in row order: the reference for its one-call draw."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    order = rng.permutation(n)
+    for k in range(1, n):
+        a = int(order[k])
+        b = int(order[rng.integers(k)])
+        edges.add((min(a, b), max(a, b)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.add((i, j))
+    return UnlabeledGraph.from_edges(n, edges)
+
+
+def test_random_connected_graph_matches_the_scalar_draws():
+    rng = np.random.default_rng(2024)
+    for seed in range(600):
+        n, p = int(rng.integers(0, 31)), float(rng.uniform(0.0, 1.0))
+        assert verify.random_connected_graph(n, p, seed) == _scalar_random_connected_graph(
+            n, p, seed
+        ), (n, p, seed)
