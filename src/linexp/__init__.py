@@ -28,6 +28,7 @@ from .expansions import (
     renormalized_operator,
     size_formulas,
     star_adjacency,
+    vertex_propagation,
 )
 from .reconstruction import (
     CliqueCover,

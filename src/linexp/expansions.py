@@ -14,9 +14,8 @@ arrays v_of, e_of (the row and the column of each entry of H):
 
 * P_v and P_e are the binary |V_l| x |V| and |V_l| x |E| indicators of
   v_of and e_of; H_r = [P_v, P_e].
-* Back-projections: P_v'(v, (v, e)) = w(v, e) / sum_e' w(v, e') with
-  w(v, e) = 1/delta(e); P_e'(e, (v, e)) = u(v, e) / sum_v' u(v', e) with
-  u(v, e) = 1/d(v).
+* Back-projections, one formula each way: P_v'(v, (v, e)) = w(v, e) /
+  sum_e' w(v, e') with w(v, e) = 1/delta(e); P_e' mirrors it with 1/d(v).
 * P_v P_v^T and P_e P_e^T are 1 on the diagonal and on same-vertex,
   respectively same-hyperedge, pairs. So with self-loop weight
   s = w_v + w_e, sI + A_l = w_e P_v P_v^T + w_v P_e P_e^T, whose row sums
@@ -26,6 +25,8 @@ arrays v_of, e_of (the row and the column of each entry of H):
   P_v^T and P_e^T and back costs O(|V_l|) per column, where the explicit
   |V_l| x |V_l| matrix has |V_l| + 2|E_l| entries. The matrix is built on
   first use only, as the reference for tests and checks.
+* M = P_v' op P_v, a convolution read back onto the vertices; at w_e = 0 it
+  is D_w^{-1} H diag(1/delta^2) H^T, D_w = H (1/delta): the star expansion.
 """
 from __future__ import annotations
 
@@ -182,7 +183,7 @@ class FactoredOperator:
         # columns keep the row-sum order of matrix @ h fixed.
         a_tilde = self.w_e * (self.p_v @ self.p_v.T) + self.w_v * (self.p_e @ self.p_e.T)
         a_tilde.sort_indices()
-        return _scale_symmetric(a_tilde, self.d_inv_sqrt)
+        return _scale(a_tilde, self.d_inv_sqrt, self.d_inv_sqrt)
 
 
 def line_expand(h: Hypergraph, w_v: float = 1.0, w_e: float = 1.0) -> LineExpansion:
@@ -198,15 +199,6 @@ def _check_weights(w_v: float, w_e: float) -> None:
         raise HypergraphError("weights must be nonnegative")
     if w_v == 0 and w_e == 0:
         raise HypergraphError("w_v and w_e must not both be zero")
-
-
-def _hyperedge_sizes(h: Hypergraph) -> np.ndarray:
-    """delta(e) as floats. An empty hyperedge is an error: every 1/delta
-    formula would divide by its zero."""
-    delta = hyperedge_degrees(h).as_array().astype(np.float64)
-    if not delta.all():
-        raise HypergraphError(f"empty hyperedges {tuple(np.flatnonzero(delta == 0).tolist())}")
-    return delta
 
 
 def size_formulas(h: Hypergraph) -> tuple[int, int]:
@@ -235,36 +227,33 @@ def _indicator(of: np.ndarray, width: int) -> sp.csr_array:
     return sp.csr_array((np.ones(n), of, np.arange(n + 1)), shape=(n, width))
 
 
+def _back_projection(rows_of: np.ndarray, cols_of: np.ndarray, n_rows: int) -> sp.csr_array:
+    """The n_rows x |V_l| back-projection P_v' from ``(v_of, e_of)``, or P_e'
+    from ``(e_of, v_of)``: row r weights pair (r, c) by 1/deg(c), normalized
+    over the row. Degrees are read at pairs only, so an isolated vertex or an
+    empty hyperedge gets an empty row. bincount adds in pair order."""
+    w = 1.0 / np.bincount(cols_of)[cols_of]
+    data = w / np.bincount(rows_of, weights=w, minlength=n_rows)[rows_of]
+    return sp.csr_array((data, (rows_of, np.arange(len(rows_of)))), shape=(n_rows, len(rows_of)))
+
+
 def projections(h: Hypergraph) -> ProjectionSet:
     """Build P_v, P_e, their back-projections, and H_r.
 
     Back-projection rows are convex: P_v' weights each (v, e) by 1/delta(e)
     normalized over the hyperedges incident to v; P_e' mirrors with 1/d(v).
+    An isolated vertex or an empty hyperedge gets an empty row.
     """
-    delta = _hyperedge_sizes(h)
     nv, ne = h.num_vertices, h.num_hyperedges
-    d = vertex_degrees(h).as_array()
     v_of, e_of = _pair_arrays(h)
     n_l = len(v_of)
-    p_v = _indicator(v_of, nv)
-    p_e = _indicator(e_of, ne)
     # H_r = [P_v, P_e]: row (v, e) holds columns v and |V| + e, ascending.
     h_r_columns = np.column_stack([v_of, nv + e_of]).ravel()
     h_r = sp.csr_array(
         (np.ones(2 * n_l), h_r_columns, np.arange(0, 2 * n_l + 1, 2)), shape=(n_l, nv + ne)
     )
-
-    # bincount adds in pair order, i.e. e ascending per vertex and v
-    # ascending per hyperedge.
-    rows = np.arange(n_l)
-    w = 1.0 / delta[e_of]
-    vb_data = w / np.bincount(v_of, weights=w, minlength=nv)[v_of]
-    p_v_back = sp.csr_array((vb_data, (v_of, rows)), shape=(nv, n_l))
-    u = 1.0 / d[v_of]
-    eb_data = u / np.bincount(e_of, weights=u, minlength=ne)[e_of]
-    p_e_back = sp.csr_array((eb_data, (e_of, rows)), shape=(ne, n_l))
-
-    return ProjectionSet(p_v, p_e, p_v_back, p_e_back, h_r)
+    back = (_back_projection(v_of, e_of, nv), _back_projection(e_of, v_of, ne))
+    return ProjectionSet(_indicator(v_of, nv), _indicator(e_of, ne), *back, h_r)
 
 
 def block_gram(p: ProjectionSet) -> sp.csr_array:
@@ -307,12 +296,25 @@ def renormalized_operator(le: LineExpansion) -> FactoredOperator:
     )
 
 
-def _scale_symmetric(a: sp.csr_array, d: np.ndarray) -> sp.csr_array:
-    """diag(d) a diag(d), computed on the stored entries as
-    d[row] * a * d[col]. ``a`` is not changed; the result shares its index
-    arrays."""
+def vertex_propagation(p: ProjectionSet, op: FactoredOperator) -> sp.csr_array:
+    """M = P_v' op P_v, one convolution of a vertex signal and the
+    back-projection, as a sparse |V| x |V| matrix. Built from the factors,
+    never from ``op.matrix``: with S = diag(op.d_inv_sqrt),
+    M = w_e (P_v' S P_v)(P_v^T S P_v) + w_v (P_v' S P_e)(P_e^T S P_v), which is
+    (P_v' S H_r) W (H_r^T S P_v) with H_r = [P_v, P_e] and W the weight w_e of
+    its |V| columns and w_v of its |E| columns: three sparse products.
+    """
+    w = np.repeat([op.w_e, op.w_v], [op.p_v.shape[1], op.p_e.shape[1]])
+    left = p.p_v_back @ _scale(p.h_r, op.d_inv_sqrt, w)
+    return left @ (_scale(p.h_r, op.d_inv_sqrt, np.ones(len(w))).T @ p.p_v)
+
+
+def _scale(a: sp.csr_array, left: np.ndarray, right: np.ndarray) -> sp.csr_array:
+    """diag(left) a diag(right), computed on the stored entries as
+    left[row] * a * right[col]. ``a`` is not changed; the result shares its
+    index arrays."""
     rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    return sp.csr_array((d[rows] * a.data * d[a.indices], a.indices, a.indptr), shape=a.shape)
+    return sp.csr_array((left[rows] * a.data * right[a.indices], a.indices, a.indptr), shape=a.shape)
 
 
 def _symmetric_normalize(w: sp.csr_array) -> sp.csr_array:
@@ -320,7 +322,7 @@ def _symmetric_normalize(w: sp.csr_array) -> sp.csr_array:
     (Kipf & Welling, 2017); rows and columns that sum to zero stay zero."""
     deg = w.sum(axis=1)
     inv = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-300)), 0.0)
-    return _scale_symmetric(w, inv)
+    return _scale(w, inv, inv)
 
 
 def clique_adjacency(h: Hypergraph) -> sp.csr_array:
@@ -341,9 +343,12 @@ def star_adjacency(h: Hypergraph) -> sp.csr_array:
     """Star-expansion adjacency A_s(u,v) = sum_e h(u,e)h(v,e)/delta(e)^2,
     divided by sqrt(dw(u) dw(v)) with dw its row sum, the weighted degree
     sum_e h(u,e)/delta(e). The diagonal is kept as the formula produces it.
+    An empty hyperedge is an error, as 1/delta would divide by its zero.
     """
     H = incidence_matrix(h)
-    delta = _hyperedge_sizes(h)
+    delta = hyperedge_degrees(h).as_array().astype(np.float64)
+    if not delta.all():
+        raise HypergraphError(f"empty hyperedges {tuple(np.flatnonzero(delta == 0).tolist())}")
     core = sp.csr_array(H @ sp.diags_array(1.0 / delta**2, format="csr") @ H.T)
     return _symmetric_normalize(core)
 

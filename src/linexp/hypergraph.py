@@ -33,8 +33,8 @@ class Hypergraph:
 
     ``edges[e]`` holds the vertices of hyperedge ``e``; the constructor
     judges them by the member rule of :func:`_member_fault`. Empty hyperedges
-    are representable, though every formula that divides by delta(e)
-    rejects them; duplicates stay distinct.
+    are representable and have no line node; ``star_adjacency``, which
+    divides by delta(e), rejects them. Duplicates stay distinct.
     """
 
     num_vertices: int

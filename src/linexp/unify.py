@@ -1,7 +1,7 @@
 """Numerical checks that the degraded line expansion subsumes the classic
-expansions: the w_e = 0 symmetric form equals the weighted-degree star
-adjacency, and on 2-regular hypergraphs it is half the simple-graph GCN
-adjacency. Every adjacency is normalized by its own row sums.
+expansions: the w_e = 0 symmetric form, read off the operator training
+applies, equals the weighted-degree star adjacency, and on 2-regular
+hypergraphs it is half the simple-graph GCN adjacency.
 
 Every adjacency here is sparse and so is every comparison: the maximum
 difference is read off the stored entries of ``a - b``, so the checks run
@@ -15,12 +15,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expansions import (
-    _hyperedge_sizes,
-    _scale_symmetric,
+    _scale,
     _symmetric_normalize,
+    line_expand,
+    projections,
+    renormalized_operator,
     star_adjacency,
+    vertex_propagation,
 )
-from .hypergraph import Hypergraph, HypergraphError, incidence_matrix
+from .hypergraph import Hypergraph, HypergraphError
 from .reconstruction import UnlabeledGraph
 
 DEFAULT_TOL = 1e-12
@@ -59,19 +62,20 @@ def _compared(name: str, lhs: str, rhs: str, diff: float, nv: int, ne: int) -> C
 
 
 def degraded_line_adjacency(h: Hypergraph) -> sp.csr_array:
-    """The degraded (w_e = 0) line expansion as a symmetric vertex adjacency:
-    D_w^{-1/2} B B^T D_w^{-1/2} with B = H diag(1/delta) and D_w = H (1/delta)
-    the weighted degree, so A(u,v) = sum_e h(u,e)h(v,e)/delta(e)^2 over
-    sqrt(dw(u) dw(v)). The form is derived by hand, not read off the
-    operator training applies. A vertex of degree 0 is an error.
-    """
-    delta = _hyperedge_sizes(h)
-    H = incidence_matrix(h)
-    dw = H @ (1.0 / delta)
+    """The degraded (w_e = 0) line expansion as a symmetric vertex adjacency,
+    read off the operator training applies: D_w^{1/2} M D_w^{-1/2} with M =
+    P_v' op P_v (:func:`vertex_propagation`) at (w_v, w_e) = (1, 0) and D_w =
+    H (1/delta), so M = D_w^{-1} H diag(1/delta^2) H^T. A vertex of degree 0 is
+    an error; with no vertex there is no operator, and the result is empty."""
+    le = line_expand(h, w_v=1.0, w_e=0.0)
+    v_of, e_of = le.pair_arrays
+    dw = np.bincount(v_of, weights=1.0 / np.bincount(e_of)[e_of], minlength=h.num_vertices)
     if not dw.all():
         raise HypergraphError(f"vertices with degree 0: {np.flatnonzero(dw == 0).tolist()}")
-    B = sp.csr_array((1.0 / delta[H.indices], H.indices, H.indptr), shape=H.shape)
-    return _scale_symmetric(B @ B.T, 1.0 / np.sqrt(dw))
+    if not le.num_nodes:
+        return sp.csr_array((0, 0))
+    root = np.sqrt(dw)
+    return _scale(vertex_propagation(projections(h), renormalized_operator(le)), root, 1.0 / root)
 
 
 def simple_graph_adjacency(g: UnlabeledGraph) -> sp.csr_array:
@@ -101,9 +105,10 @@ def _max_abs_diff(
 
 
 def check_star_equivalence(h: Hypergraph) -> CheckResult:
-    """Degraded LE vs the weighted-degree star adjacency, elementwise."""
-    lhs = degraded_line_adjacency(h)
+    """Degraded LE vs the weighted-degree star adjacency, elementwise. The
+    star adjacency is built first, as it rejects an empty hyperedge."""
     rhs = star_adjacency(h)
+    lhs = degraded_line_adjacency(h)
     return _compared(
         "star-equivalence",
         "degraded-line-expansion",

@@ -244,6 +244,28 @@ class TestVerify:
             "exceeds the isomorphism test's limit of 10"
         )
 
+    def test_isolated_vertex_is_set_aside(self, capsys, tmp_path):
+        # vertex 2 has no line node, so no candidate has it
+        path = tmp_path / "isolated.hg"
+        path.write_text("3 1\n0 1\n")
+        assert main(["verify", "--input", str(path), "--reconstruct"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("[PASS] ") for line in lines)
+        assert lines[-2:] == [
+            "[PASS] star-equivalence: 0 of 1 instance(s) compared, "
+            "1 skipped with an isolated vertex",
+            "[PASS] unlabeled-round-trip: 1 instance(s), "
+            "set aside 1 isolated vertex(es) and 0 empty hyperedge(s)",
+        ]
+
+    def test_empty_hypergraph(self, capsys, tmp_path):
+        path = tmp_path / "empty.hg"
+        path.write_text("0 0\n")
+        assert main(["verify", "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and all(line.startswith("[PASS] ") for line in lines)
+        assert lines[-1] == "[PASS] star-equivalence: 1 of 1 instance(s) compared"
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_non_positive_trials_is_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as exc:

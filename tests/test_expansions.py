@@ -8,8 +8,10 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 import linexp as lx
-from linexp.expansions import line_graph, star_expansion_graph
-from linexp.verify import check_line_graph_equivalence
+from linexp.expansions import line_graph, star_expansion_graph, vertex_propagation
+from linexp.learn import Model, forward
+from linexp.reconstruction import MAX_ISO_SIDE
+from linexp.verify import _set_aside, check_line_graph_equivalence, is_connected
 
 # adjacency of the worked example's line expansion, w_v = w_e = 1
 WORKED_A_L = np.array(
@@ -147,9 +149,15 @@ class TestProjections:
                     assert np.allclose(prod[v], np.eye(h.num_vertices)[v],
                                        atol=1e-12)
 
-    def test_empty_hyperedge_rejected(self):
-        with pytest.raises(lx.HypergraphError):
-            lx.projections(lx.Hypergraph(2, ((0,), ())))
+    def test_empty_hyperedge_gets_an_empty_row(self):
+        # as an isolated vertex gets an empty P_v' row: here, in the dual
+        h = lx.Hypergraph(2, ((0, 1), ()))
+        p = lx.projections(h)
+        assert np.array_equal(p.p_e.toarray(), [[1.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(p.p_e_back.toarray(), [[0.5, 0.5], [0.0, 0.0]])
+        assert np.array_equal(p.p_v_back.toarray(), np.eye(2))
+        dual = lx.projections(lx.dual_hypergraph(h))
+        assert np.array_equal(dual.p_v_back.toarray(), p.p_e_back.toarray())
 
 
 class TestBlockGram:
@@ -360,11 +368,73 @@ class TestDualSymmetry:
     @given(messy_hypergraphs())
     def test_back_projections_of_the_dual(self, h):
         dual, perm = self.dual_and_perm(h)
-        assume(all(h.edges) and all(dual.edges))  # projections rejects an empty hyperedge
         got = lx.projections(dual).p_v_back
         expected = sp.csr_array(lx.projections(h).p_e_back[:, perm])
         assert got.shape == expected.shape
         assert (got != expected).nnz == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_unlabeled_expansion_of_the_dual_is_relabelled(self, h):
+        for g in (h, lx.dual_hypergraph(h)):
+            dual, perm = self.dual_and_perm(g)
+            got = lx.strip_labels(lx.line_expand(dual))
+            # node perm[k] of LE(g) is node k of LE(dual)
+            rename = np.argsort(perm)
+            edges = lx.strip_labels(lx.line_expand(g)).edges
+            expected = lx.UnlabeledGraph.from_edges(
+                len(perm), [(rename[i], rename[j]) for i, j in edges]
+            )
+            assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_reconstruction_of_either_side_gives_both(self, h):
+        h, _ = _set_aside(h)  # most messy hypergraphs are connected but for an isolated vertex
+        assume(is_connected(h) and min(h.num_vertices, h.num_hyperedges) <= MAX_ISO_SIDE)
+        dual, _ = self.dual_and_perm(h)
+        for g in (h, dual):
+            a, b = lx.krausz_reconstruct(lx.strip_labels(lx.line_expand(g))).candidates
+            assert (
+                lx.hypergraph_isomorphic(a, h) and lx.hypergraph_isomorphic(b, dual)
+            ) or (lx.hypergraph_isomorphic(a, dual) and lx.hypergraph_isomorphic(b, h))
+
+
+class TestVertexPropagation:
+    """M = P_v' op P_v from the operator's factors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs())
+    def test_equals_the_dense_product(self, h):
+        p = lx.projections(h)
+        for w_v, w_e in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.3, 7.0)):
+            op = lx.renormalized_operator(lx.line_expand(h, w_v, w_e))
+            expected = p.p_v_back.toarray() @ op.matrix.toarray() @ p.p_v.toarray()
+            got = vertex_propagation(p, op)
+            assert got.shape == (h.num_vertices, h.num_vertices)
+            assert np.abs(got.toarray() - expected).max() <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs(), st.sampled_from([1, 2, 3]))
+    def test_one_layer_at_w_e_zero_is_the_star_expansion(self, h, width):
+        """The logits are D_w^{-1} H diag(1/delta^2) H^T x theta, which is
+        D_w^{-1/2} A_s D_w^{1/2} x theta; an isolated vertex's row is 0."""
+        rng = np.random.default_rng(h.num_pairs)
+        x = rng.normal(size=(h.num_vertices, 2))
+        theta = rng.normal(size=(2, width))
+        op = lx.renormalized_operator(lx.line_expand(h, w_v=1.0, w_e=0.0))
+        logits, _ = forward(Model([theta], 1.0, 0.0, "relu"), op, lx.projections(h), x)
+        H = lx.incidence_matrix(h).toarray()
+        delta = H.sum(axis=0)
+        dw = H @ (1 / delta)
+        active = dw > 0
+        core = H @ np.diag(1 / delta**2) @ H.T @ x @ theta
+        assert np.abs(logits[active] - core[active] / dw[active, None]).max() <= 1e-12
+        assert not logits[~active].any()
+        root = np.sqrt(dw[active])
+        a_s = lx.star_adjacency(h).toarray()[np.ix_(active, active)]
+        similar = (a_s * root[None, :] / root[:, None]) @ (x @ theta)[active]
+        assert np.abs(logits[active] - similar).max() <= 1e-12
 
 
 class TestPairGroups:

@@ -587,13 +587,15 @@ class TestTrain:
         _, report = lx.train(h, ds, config)
         assert report.test_accuracy >= 0.9
 
-    def test_empty_hyperedge_rejected(self):
-        h = lx.Hypergraph(2, ((0, 1), ()))
-        zeros = np.zeros(2, dtype=bool)
-        ds = lx.Dataset(np.ones((2, 1)), np.array([0, 1]),
-                        np.array([True, True]), zeros, zeros, 2)
-        with pytest.raises(lx.HypergraphError, match=r"^empty hyperedges \(1,\)$"):
-            lx.train(h, ds, lx.TrainConfig(epochs=1))
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_empty_hyperedge_trains_as_if_absent(self, sampling):
+        # it has no line node, as an isolated vertex has none
+        h, ds = separable_toy(vertices_per_class=6, seed=2)
+        config = lx.TrainConfig(epochs=20, seed=3, sampling=sampling, delta_v=2, delta_e=2)
+        _, with_empty = lx.train(lx.Hypergraph(h.num_vertices, h.edges + ((),)), ds, config)
+        _, without = lx.train(h, ds, config)
+        assert with_empty.losses == without.losses
+        assert with_empty.test_accuracy == without.test_accuracy
 
     def test_early_stopping_stops(self):
         h, ds = separable_toy(vertices_per_class=8, seed=5)

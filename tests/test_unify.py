@@ -4,6 +4,8 @@ import pytest
 import scipy.sparse as sp
 
 import linexp as lx
+from linexp import unify
+from linexp.expansions import FactoredOperator, _indicator
 from linexp.unify import (
     _max_abs_diff,
     check_simple_graph_factor,
@@ -36,6 +38,12 @@ class TestDegradedLineAdjacency:
         with pytest.raises(lx.HypergraphError, match=r"^vertices with degree 0: \[2\]$"):
             degraded_line_adjacency(h)
 
+    def test_no_vertex_gives_the_empty_matrix(self):
+        # no line node, so no operator to read
+        for h in (lx.Hypergraph(0, ()), lx.Hypergraph(0, ((),))):
+            assert degraded_line_adjacency(h).shape == (0, 0)
+        assert check_star_equivalence(lx.Hypergraph(0, ())).passed
+
     def test_symmetric(self):
         for h in no_zero_degree_corpus(20, base_seed=0):
             a = degraded_line_adjacency(h).toarray()
@@ -55,6 +63,22 @@ class TestStarEquivalence:
     def test_empty_hyperedge_rejected(self):
         with pytest.raises(lx.HypergraphError, match=r"^empty hyperedges \(1,\)$"):
             check_star_equivalence(lx.Hypergraph(2, ((0,), ())))
+
+    def test_reads_the_operator_training_applies(self, monkeypatch, worked):
+        """With w_e d and w_v delta swapped in the operator's degree, the
+        check fails."""
+        def swapped(le):
+            v_of, e_of = le.pair_arrays
+            d, delta = np.bincount(v_of)[v_of], np.bincount(e_of)[e_of]
+            nv, ne = le.hypergraph.num_vertices, le.hypergraph.num_hyperedges
+            return FactoredOperator(_indicator(v_of, nv), _indicator(e_of, ne),
+                                    1.0 / np.sqrt(le.w_e * delta + le.w_v * d), le.w_v, le.w_e)
+
+        assert check_star_equivalence(worked).passed
+        monkeypatch.setattr(unify, "renormalized_operator", swapped)
+        rep = check_star_equivalence(worked)
+        assert not rep.passed
+        assert rep.max_abs_diff > 0.5
 
     def test_result_carries_verify_name_and_difference(self):
         for h in no_zero_degree_corpus(20):

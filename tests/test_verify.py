@@ -197,6 +197,19 @@ def test_a_round_trip_over_no_instance_says_why():
     )
 
 
+def test_a_round_trip_sets_aside_what_has_no_line_node():
+    h = lx.Hypergraph(4, ((0, 1), (), (1, 2)))  # vertex 3 and hyperedge 1
+    results = run_verification(hypergraph=h, reconstruct=True)
+    assert all(r.passed for r in results), results
+    assert str(results[-1]) == (
+        "[PASS] unlabeled-round-trip: 1 instance(s), "
+        "set aside 1 isolated vertex(es) and 1 empty hyperedge(s)"
+    )
+    core, note = verify._set_aside(h)
+    assert core == lx.Hypergraph(3, ((0, 1), (1, 2)))
+    assert verify._set_aside(core) == (core, "")
+
+
 @st.composite
 def hypergraphs_with_gaps(draw):
     """0 to 9 vertices, some isolated, and up to 8 hyperedges, some empty."""
@@ -240,25 +253,27 @@ def _no_isolated(h: lx.Hypergraph) -> bool:
 
 
 # name -> (its instances in a recorded corpus, as (instance, seed); the
-# check; one instance's check arguments; the pass detail over `trials`)
+# check; one instance's check arguments; the pass detail over `trials`, of
+# which `n` are its instances)
 UNION_CHECKS = {
     "observation-identities": (
         lambda rec: rec["hypergraphs"],
         verify.check_observation_identities,
         lambda h: (h, lx.line_expand(h)),
-        lambda trials: f"{trials} instance(s)",
+        lambda trials, n: f"{trials} instance(s)",
     ),
     "star-equivalence": (
         lambda rec: [(h, s) for h, s in rec["hypergraphs"] if _no_isolated(h)],
         check_star_equivalence,
         lambda h: (h,),
-        lambda trials: "",
+        lambda trials, n: f"{n} of {trials} instance(s) compared"
+        + (f", {trials - n} skipped with an isolated vertex" if trials - n else ""),
     ),
     "simple-graph-factor": (
         lambda rec: rec["graphs"],
         unify.check_simple_graph_factor,
         lambda g: (g,),
-        lambda trials: "",
+        lambda trials, n: "",
     ),
 }
 
@@ -267,7 +282,7 @@ def _scan(name: str, members: list, trials: int) -> CheckResult:
     """The per-instance scan of check ``name`` over ``members``."""
     _, check, args, pass_detail = UNION_CHECKS[name]
     instances = [(*args(x), s) for x, s in members]
-    return verify._first_failure(name, instances, check, pass_detail(trials))
+    return verify._first_failure(name, instances, check, pass_detail(trials, len(members)))
 
 
 CORPORA = [(40, 11), (40, 2_000_000), (60, 12), (60, 3), (200, 13)]
