@@ -61,6 +61,65 @@ MUTANTS = (
             "test_gradient_check_narrowing_and_widening_layers[sampled]",
         ),
     ),
+    Mutant(
+        "reader-without-empty-field-check",
+        "src/linexp/formats.py",
+        "gaps.min(initial=2) < 2",
+        "gaps.min(initial=2) < 1",
+        (
+            "tests/test_formats.py::TestByteReader::test_faulty_line_is_named"
+            "[2 1\\n0 \\n1 0\\n0 1\\n-line 2: node line must have two fields]",
+        ),
+    ),
+    Mutant(
+        "reader-long-field-check-off-by-one",
+        "src/linexp/formats.py",
+        "gaps.max(initial=0) > _DIGITS",
+        "gaps.max(initial=0) > _DIGITS + 1",
+        (
+            "tests/test_formats.py::TestByteReader::test_faulty_line_is_named"
+            "[2 1\\n0 9223372036854775808\\n1 0\\n0 1\\n"
+            "-line 2: label (0, 9223372036854775808) does not fit in int64]",
+        ),
+    ),
+    Mutant(
+        "reader-without-edge-dedup",
+        "src/linexp/formats.py",
+        "np.divmod(keys[distinct], max(n, 1))",
+        "np.divmod(keys, max(n, 1))",
+        (
+            "tests/test_formats.py::TestByteReader::"
+            "test_read_in_the_writers_form[repeated-and-reversed-edges]",
+        ),
+    ),
+    Mutant(
+        "reader-without-sign-branch",
+        "src/linexp/formats.py",
+        "    if len(ends) != 2 * rows:\n",
+        "    if False:\n",
+        ("tests/test_formats.py::TestByteReader::test_read_in_the_writers_form[signed-zeros]",),
+    ),
+    Mutant(
+        "writer-groups-reversed",
+        "src/linexp/formats.py",
+        "chain.from_iterable(le.groups)",
+        "chain.from_iterable(reversed(le.groups))",
+        ("tests/test_formats.py::TestRenderLineExpansion::test_matches_the_edge_triples_at_scale",),
+    ),
+    Mutant(
+        "writer-header-edge-count-plus-one",
+        "src/linexp/formats.py",
+        'f"{le.num_nodes} {le.num_edges}"',
+        'f"{le.num_nodes} {le.num_edges + 1}"',
+        ("tests/test_formats.py::TestRenderLineExpansion::test_matches_the_edge_triples_at_scale",),
+    ),
+    Mutant(
+        "dump-bytes-counts-one-edge-line-too-many",
+        "src/linexp/formats.py",
+        "(group_sizes - 2)",
+        "(group_sizes - 1)",
+        ("tests/test_cli.py::TestStats::test_counts_match_loop_definitions",),
+    ),
 )
 
 

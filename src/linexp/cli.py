@@ -112,6 +112,7 @@ def cmd_stats(args) -> int:
     # the explicit renormalized operator at w_v, w_e > 0: the diagonal and
     # both directions of every line edge
     print(f"operator nnz        {n_l + 2 * m_l}")
+    print(f"dump bytes          {formats.labeled_dump_bytes(line_expand(h))}")
     print(
         f"sampled edge bound  {sample_bound} "
         f"(arcs kept at delta_v={args.delta_v}, delta_e={args.delta_e})"

@@ -54,6 +54,28 @@ def render_line_expansion(le: LineExpansion, labeled: bool = True) -> str:
     return "\n".join(out) + "\n"
 
 
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def labeled_dump_bytes(le: LineExpansion) -> int:
+    """``len(render_line_expansion(le))`` in closed form, with no render and
+    no ``le.groups``. Every line is two fields, a space and a line end. Line
+    node x = (v, e) writes v and e on its node line, and its own id x on one
+    edge line per other member of its two groups: d_v - 1 + δ_e - 1 times."""
+    h = le.hypergraph
+    v_of, e_of = le.pair_arrays
+    n_l, m_l = size_formulas(h)
+    group_sizes = np.bincount(v_of, minlength=h.num_vertices)[v_of]
+    group_sizes += np.bincount(e_of, minlength=h.num_hyperedges)[e_of]
+    digits = _digits(v_of) + _digits(e_of) + _digits(np.arange(n_l)) * (group_sizes - 2)
+    return len(f"{n_l} {m_l}\n") + int(digits.sum()) + 2 * (n_l + m_l)
+
+
+def _digits(x: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each non-negative int64 in ``x``."""
+    return np.searchsorted(_POWERS_OF_TEN, x, side="right") + 1
+
+
 _HEADER = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n")  # the writer's header; counts < 10**18
 _UNLABELED = b"? ?\n"
 
@@ -74,24 +96,24 @@ def _read_dump(text: str) -> tuple[int, np.ndarray | None, np.ndarray, np.ndarra
     header = _HEADER.match(text)
     if header:
         n, m = int(header[1]), int(header[2])
-        read = _read_body(n, m, text[header.end():])
+        read = _read_body(n, m, text, header.end())
         if read is not None:
             return read
     header_no, n, m, lines, numbers = _read_header(text, "<num_line_nodes> <num_edges>")
     if len(lines) != n + m:
         raise ParseError(f"expected {n} node lines and {m} edge lines", header_no)
-    read = _read_body(n, m, "".join(" ".join(line.split()) + "\n" for line in lines))
+    read = _read_body(n, m, "".join(" ".join(line.split()) + "\n" for line in lines), 0)
     if read is None:
         raise _first_fault(lines, numbers, n)
     return read
 
 
 def _read_body(
-    n: int, m: int, body: str
+    n: int, m: int, text: str, start: int
 ) -> tuple[int, np.ndarray | None, np.ndarray, np.ndarray] | None:
     """:func:`_read_dump`'s result for the ``n`` node lines and ``m`` edge
-    lines of ``body`` in the writer's form, or None if they are not in it
-    or break a rule of the format.
+    lines of ``text`` from offset ``start`` in the writer's form, or None if
+    they are not in it or break a rule of the format.
 
     The writer's form is checked on the bytes: every line ends in "\n";
     the node lines are all "? ?" or none is; every other line is two
@@ -99,18 +121,21 @@ def _read_body(
     Only then are the integers converted, once, in C. A field of
     ``_DIGITS`` characters or more is judged by :func:`_int_field`, as
     ``np.fromstring`` clamps what does not fit in int64.
+
+    The text is encoded once and never sliced, and one array of field
+    positions is alive at a time, freed before the conversion: at its peak
+    the read holds about four bytes per byte of ``text``.
     """
-    if not body.isascii():
+    if not text.isascii():
         return None
-    raw = body.encode("ascii")
-    if raw.count(b"\n") != n + m or raw and raw[-1] != ord("\n"):
+    raw = text.encode("ascii")
+    if raw.count(b"\n", start) != n + m or len(raw) > start and raw[-1] != ord("\n"):
         return None
-    first = n if n and raw.startswith(_UNLABELED) else 0  # the first line of integers
-    if first and not raw.startswith(_UNLABELED * n):
+    first = n if n and raw.startswith(_UNLABELED, start) else 0  # the first line of integers
+    if first and not raw.startswith(_UNLABELED * n, start):
         return None
-    ints = raw[len(_UNLABELED) * first:]
     rows = n - first + m
-    a = np.frombuffer(ints, dtype=np.uint8)
+    a = np.frombuffer(raw, dtype=np.uint8, offset=start + len(_UNLABELED) * first)
     if a.max(initial=0) > ord("9"):
         return None
     ends = np.flatnonzero(a < ord("0"))  # field ends, signs and any other low byte
@@ -123,24 +148,34 @@ def _read_body(
         ends = ends[~signs]
     if a[ends].tobytes() != b" \n" * rows:
         return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    width = ends - starts
-    if width.min(initial=1) < 1:
+    # the first field's width is ends[0]; a later field's is its gap to the end before, less 1
+    head = int(ends[0]) if rows else 1
+    gaps = ends[1:] - ends[:-1]
+    if head < 1 or gaps.min(initial=2) < 2:
         return None
-    values = np.fromstring(ints, dtype=np.int64, sep=" ")
-    for k in np.flatnonzero(width >= _DIGITS).tolist():
-        if not -(1 << 63) <= _int_field(ints[starts[k]:ends[k]].decode()) < 1 << 63:
-            return None
+    if head >= _DIGITS or gaps.max(initial=0) > _DIGITS:
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        for k in np.flatnonzero(ends - starts >= _DIGITS).tolist():
+            if not -(1 << 63) <= _int_field(a[starts[k]:ends[k]].tobytes().decode()) < 1 << 63:
+                return None
+    del ends, gaps
+    values = np.fromstring(a, dtype=np.int64, sep=" ")
     pairs = values.reshape(rows, 2)
     edges = pairs[n - first:]
     i, j = edges.T
     if values.min(initial=0) < 0 or edges.max(initial=-1) >= n or (i == j).any():
         return None
-    keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    keys = np.minimum(i, j)
+    keys *= n - 1
+    keys += i
+    keys += j  # min(i, j) * n + max(i, j)
+    keys.sort()
+    labels = None if first else pairs[:n].copy()  # a view would keep ``values`` alive
+    del values, pairs, edges, i, j  # or the dedup below would set the peak
     distinct = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
     lo, hi = np.divmod(keys[distinct], max(n, 1))
-    return n, None if first else pairs[:n], lo, hi
+    return n, labels, lo, hi
 
 
 def _first_fault(lines: list[str], numbers: Sequence[int], n: int) -> ParseError:
@@ -194,7 +229,8 @@ def _hypergraph_from_label_arrays(
     nv, ne = (labels.max(axis=0, initial=-1) + 1).tolist()
     h = _hypergraph_from_pairs(nv, ne, labels.tolist())
     v_of, e_of = labels.T
-    unrelated = (v_of[lo] != v_of[hi]) & (e_of[lo] != e_of[hi])
+    unrelated = v_of[lo] != v_of[hi]  # two edge-length gathers alive at a time
+    unrelated &= e_of[lo] != e_of[hi]
     if unrelated.any():
         k = int(unrelated.argmax())
         (v, e), (u, f) = labels[lo[k]].tolist(), labels[hi[k]].tolist()

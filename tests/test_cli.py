@@ -163,6 +163,7 @@ class TestStats:
         assert "line nodes          8" in out
         assert "line edges          10" in out
         assert "operator nnz        28" in out
+        assert "dump bytes          77" in out
 
     @settings(max_examples=150, deadline=None)
     @given(messy_hypergraphs(), st.integers(1, 4), st.integers(1, 4))
@@ -185,6 +186,7 @@ class TestStats:
         assert table["sampled edge bound"] == bound
         op = lx.renormalized_operator(lx.line_expand(h))
         assert table["operator nnz"] == op.matrix.nnz
+        assert table["dump bytes"] == len(formats.render_line_expansion(lx.line_expand(h)))
 
     @pytest.mark.parametrize("flag", ["--delta-v", "--delta-e"])
     @pytest.mark.parametrize("value", ["0", "-1"])
