@@ -52,6 +52,40 @@ MUTANTS = (
         ("tests/test_unify.py::TestStarEquivalence::test_worked_example",),
     ),
     Mutant(
+        "line-graph-without-parallel-dedup",
+        "src/linexp/expansions.py",
+        "return keys[first]",
+        "return keys",
+        (
+            "tests/test_expansions.py::TestLineGraphEquivalence::"
+            "test_line_graph_of_multigraph_matches_pairwise_definition",
+        ),
+    ),
+    Mutant(
+        "line-graph-self-loop-twice",
+        "src/linexp/expansions.py",
+        "keep = a != b",
+        "keep = a == a",
+        (
+            "tests/test_expansions.py::TestLineGraphEquivalence::"
+            "test_line_graph_of_multigraph_matches_pairwise_definition",
+        ),
+    ),
+    Mutant(
+        "adjacency-weights-swapped",
+        "src/linexp/expansions.py",
+        'edges["kind"] == VERTEX_SIMILAR, self.w_e, self.w_v',
+        'edges["kind"] == VERTEX_SIMILAR, self.w_v, self.w_e',
+        ("tests/test_expansions.py::TestLineExpand::test_edge_kinds_carry_weights",),
+    ),
+    Mutant(
+        "back-projection-degrees-of-the-rows",
+        "src/linexp/expansions.py",
+        "w = 1.0 / np.bincount(cols_of)[cols_of]",
+        "w = 1.0 / np.bincount(rows_of)[rows_of]",
+        ("tests/test_expansions.py::TestProjections::test_back_projection_row_weights",),
+    ),
+    Mutant(
         "backward-without-transpose",
         "src/linexp/learn.py",
         "g = op.T @ ds",

@@ -115,15 +115,22 @@ class LineExpansion:
         """Weighted symmetric adjacency A_l (w_e on vertex-similar edges,
         w_v on hyperedge-similar edges), built from the edge list."""
         n = self.num_nodes
-        rows, cols, data = [], [], []
-        for i, j, kind in self.edges:
-            w = self.w_e if kind == VERTEX_SIMILAR else self.w_v
-            rows += [i, j]
-            cols += [j, i]
-            data += [w, w]
+        edges = _edge_array(self.edges)
+        i, j = edges["i"], edges["j"]
+        w = np.where(edges["kind"] == VERTEX_SIMILAR, self.w_e, self.w_v)
         return sp.csr_array(
-            (np.asarray(data, dtype=np.float64), (rows, cols)), shape=(n, n)
+            (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+            shape=(n, n),
         )
+
+
+_EDGE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("kind", object)])
+
+
+def _edge_array(edges: tuple[tuple[int, int, str], ...]) -> np.ndarray:
+    """``le.edges`` as one structured array with fields i, j and kind, read
+    by one ``np.fromiter``."""
+    return np.fromiter(edges, _EDGE_DTYPE, len(edges))
 
 
 @dataclass(frozen=True)
@@ -231,10 +238,26 @@ def _back_projection(rows_of: np.ndarray, cols_of: np.ndarray, n_rows: int) -> s
     """The n_rows x |V_l| back-projection P_v' from ``(v_of, e_of)``, or P_e'
     from ``(e_of, v_of)``: row r weights pair (r, c) by 1/deg(c), normalized
     over the row. Degrees are read at pairs only, so an isolated vertex or an
-    empty hyperedge gets an empty row. bincount adds in pair order."""
+    empty hyperedge gets an empty row. bincount adds in pair order. Built
+    with no COO step, as the transpose of the |V_l| x n_rows matrix with one
+    entry per pair, whose CSR arrays are given directly as in
+    :func:`_indicator`: scipy transposes by one linear counting pass, which
+    keeps each row's pairs in pair order. A stable argsort of ``e_of`` does
+    the same in more time than the whole COO build took (5.3 ms against
+    2.3 ms on 49,453 pairs)."""
     w = 1.0 / np.bincount(cols_of)[cols_of]
     data = w / np.bincount(rows_of, weights=w, minlength=n_rows)[rows_of]
-    return sp.csr_array((data, (rows_of, np.arange(len(rows_of)))), shape=(n_rows, len(rows_of)))
+    n = len(rows_of)
+    return sp.csr_array((data, rows_of, np.arange(n + 1)), shape=(n, n_rows)).T.tocsr()
+
+
+def _stacked_incidence(v_of: np.ndarray, e_of: np.ndarray, nv: int, ne: int) -> sp.csr_array:
+    """H_r = [P_v, P_e]: row (v, e) holds columns v and |V| + e, ascending."""
+    n_l = len(v_of)
+    columns = np.column_stack([v_of, nv + e_of]).ravel()
+    return sp.csr_array(
+        (np.ones(2 * n_l), columns, np.arange(0, 2 * n_l + 1, 2)), shape=(n_l, nv + ne)
+    )
 
 
 def projections(h: Hypergraph) -> ProjectionSet:
@@ -246,13 +269,8 @@ def projections(h: Hypergraph) -> ProjectionSet:
     """
     nv, ne = h.num_vertices, h.num_hyperedges
     v_of, e_of = _pair_arrays(h)
-    n_l = len(v_of)
-    # H_r = [P_v, P_e]: row (v, e) holds columns v and |V| + e, ascending.
-    h_r_columns = np.column_stack([v_of, nv + e_of]).ravel()
-    h_r = sp.csr_array(
-        (np.ones(2 * n_l), h_r_columns, np.arange(0, 2 * n_l + 1, 2)), shape=(n_l, nv + ne)
-    )
     back = (_back_projection(v_of, e_of, nv), _back_projection(e_of, v_of, ne))
+    h_r = _stacked_incidence(v_of, e_of, nv, ne)
     return ProjectionSet(_indicator(v_of, nv), _indicator(e_of, ne), *back, h_r)
 
 
@@ -296,17 +314,20 @@ def renormalized_operator(le: LineExpansion) -> FactoredOperator:
     )
 
 
-def vertex_propagation(p: ProjectionSet, op: FactoredOperator) -> sp.csr_array:
+def vertex_propagation(
+    p_v_back: sp.csr_array, h_r: sp.csr_array, op: FactoredOperator
+) -> sp.csr_array:
     """M = P_v' op P_v, one convolution of a vertex signal and the
-    back-projection, as a sparse |V| x |V| matrix. Built from the factors,
-    never from ``op.matrix``: with S = diag(op.d_inv_sqrt),
+    back-projection, as a sparse |V| x |V| matrix, from P_v', H_r and the
+    operator, whose P_v it reads. Built from the factors, never from
+    ``op.matrix``: with S = diag(op.d_inv_sqrt),
     M = w_e (P_v' S P_v)(P_v^T S P_v) + w_v (P_v' S P_e)(P_e^T S P_v), which is
     (P_v' S H_r) W (H_r^T S P_v) with H_r = [P_v, P_e] and W the weight w_e of
     its |V| columns and w_v of its |E| columns: three sparse products.
     """
     w = np.repeat([op.w_e, op.w_v], [op.p_v.shape[1], op.p_e.shape[1]])
-    left = p.p_v_back @ _scale(p.h_r, op.d_inv_sqrt, w)
-    return left @ (_scale(p.h_r, op.d_inv_sqrt, np.ones(len(w))).T @ p.p_v)
+    left = p_v_back @ _scale(h_r, op.d_inv_sqrt, w)
+    return left @ (_scale(h_r, op.d_inv_sqrt, np.ones(len(w))).T @ op.p_v)
 
 
 def _scale(a: sp.csr_array, left: np.ndarray, right: np.ndarray) -> sp.csr_array:
@@ -364,11 +385,39 @@ def star_expansion_graph(h: Hypergraph) -> tuple[int, list[tuple[int, int]]]:
 def line_graph(num_nodes: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Line graph on the given edge list: one node per input edge, adjacency
     iff the edges share an endpoint. Returns edges (i, j) over edge indices,
-    i < j, sorted."""
-    at_node: list[list[int]] = [[] for _ in range(num_nodes)]
-    for k, (a, b) in enumerate(edges):
-        at_node[a].append(k)
-        if b != a:
-            at_node[b].append(k)
-    # Two parallel edges share both endpoints, so their pair comes up twice.
-    return sorted({pair for ids in at_node for pair in combinations(ids, 2)})
+    i < j, sorted. The list view of :func:`_line_graph_keys`."""
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    keys = _line_graph_keys(num_nodes, ends[:, 0], ends[:, 1])
+    i, j = np.divmod(keys, max(len(ends), 1))
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def _line_graph_keys(num_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The line graph of the multigraph on ``num_nodes`` nodes with edges
+    (a[k], b[k]), as the sorted keys i * m + j, i < j, of its edges (m =
+    len(a)). The edge ids are grouped by endpoint, a self-loop counting its
+    endpoint once, and every pair within a group is taken; two parallel
+    edges share both endpoints, so their pair comes up twice and is kept
+    once."""
+    m = len(a)
+    keep = a != b
+    ends = np.concatenate([a, b[keep]])
+    ids = np.concatenate([np.arange(m), np.flatnonzero(keep)])
+    order = np.argsort(ends, kind="stable")
+    members = ids[order]
+    # The member at sorted position s pairs with those after it in its group.
+    group_end = np.cumsum(np.bincount(ends, minlength=num_nodes))[ends[order]]
+    after = group_end - np.arange(len(members)) - 1
+    first = np.repeat(np.arange(len(members)), after)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(after) - after, after)
+    return _edge_keys(members[first], members[second], m)
+
+
+def _edge_keys(i: np.ndarray, j: np.ndarray, m: int) -> np.ndarray:
+    """The undirected edges (i[k], j[k]) on nodes 0..m-1 as their distinct
+    keys min * m + max, sorted, by one sort; ``np.unique`` hashes int64 keys
+    and took some 60 times longer on 856,000 of them."""
+    keys = np.sort(np.minimum(i, j) * m + np.maximum(i, j))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]

@@ -15,10 +15,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expansions import (
+    _back_projection,
     _scale,
+    _stacked_incidence,
     _symmetric_normalize,
     line_expand,
-    projections,
     renormalized_operator,
     star_adjacency,
     vertex_propagation,
@@ -66,16 +67,24 @@ def degraded_line_adjacency(h: Hypergraph) -> sp.csr_array:
     read off the operator training applies: D_w^{1/2} M D_w^{-1/2} with M =
     P_v' op P_v (:func:`vertex_propagation`) at (w_v, w_e) = (1, 0) and D_w =
     H (1/delta), so M = D_w^{-1} H diag(1/delta^2) H^T. A vertex of degree 0 is
-    an error; with no vertex there is no operator, and the result is empty."""
+    an error; with no vertex there is no operator, and the result is empty.
+    Of the projections only P_v' and H_r are built, from the line expansion's
+    pair arrays; P_v is the operator's."""
+    nv, ne = h.num_vertices, h.num_hyperedges
     le = line_expand(h, w_v=1.0, w_e=0.0)
     v_of, e_of = le.pair_arrays
-    dw = np.bincount(v_of, weights=1.0 / np.bincount(e_of)[e_of], minlength=h.num_vertices)
+    dw = np.bincount(v_of, weights=1.0 / np.bincount(e_of)[e_of], minlength=nv)
     if not dw.all():
         raise HypergraphError(f"vertices with degree 0: {np.flatnonzero(dw == 0).tolist()}")
     if not le.num_nodes:
         return sp.csr_array((0, 0))
+    m = vertex_propagation(
+        _back_projection(v_of, e_of, nv),
+        _stacked_incidence(v_of, e_of, nv, ne),
+        renormalized_operator(le),
+    )
     root = np.sqrt(dw)
-    return _scale(vertex_propagation(projections(h), renormalized_operator(le)), root, 1.0 / root)
+    return _scale(m, root, 1.0 / root)
 
 
 def simple_graph_adjacency(g: UnlabeledGraph) -> sp.csr_array:

@@ -1,22 +1,24 @@
 """Verification suites: projection identities, size formulas, the
 line-graph-of-star-expansion equivalence, expansion unification, and
-round-trip reconstruction. Every comparison is sparse, with no size cap:
-``(a != b).nnz == 0`` for the integer identities, :mod:`linexp.unify` for the
-float ones. Over a corpus, a check reports its first failing instance's seed.
+round-trip reconstruction. Every comparison is of arrays, with no size cap:
+``(a != b).nnz == 0`` for the integer identities, the sorted edge keys of
+both sides for the line graph, :mod:`linexp.unify` for the float ones. Over
+a corpus, a check reports its first failing instance's seed.
 
 Each instance's line expansion ``le = line_expand(h)``, at unit weights, is
 built once, and every ``check_*`` takes it with the hypergraph as
 ``(h, le)``, so the line edges are built once per instance.
 
-A generated corpus runs three checks once each, on a disjoint union:
-``observation-identities`` on the union of the corpus (with its own
-``line_expand``), ``star-equivalence`` on the union of the instances with no
-isolated vertex, and ``simple-graph-factor`` on the union of the generated
-graphs. The union shifts each instance's ids by the sizes before it, so its
-``H`` is block-diagonal, and so is every matrix these checks compare: each
-compared entry belongs to one instance, and an identity holds on the union
-iff it holds on every instance. A passing union reports what the
-per-instance scan would. A failing one is scanned again instance by
+A generated corpus runs four checks once each, on a disjoint union:
+``observation-identities`` and ``line-graph-of-star-expansion`` on the union
+of the corpus, which they share with its one ``line_expand``,
+``star-equivalence`` on the union of the instances with no isolated vertex,
+and ``simple-graph-factor`` on the union of the generated graphs. The union
+shifts each instance's ids by the sizes before it, so its ``H`` is
+block-diagonal, and so is every matrix and edge set these checks compare:
+each compared entry or edge belongs to one instance, and an identity holds
+on the union iff it holds on every instance. A passing union reports what
+the per-instance scan would. A failing one is scanned again instance by
 instance, so the result names the first failing instance, its detail and
 its seed, and counts it in ``instances``. A corpus of one instance, such as
 ``--input``, is checked as itself, with no union.
@@ -24,6 +26,7 @@ its seed, and counts it in ``instances``. A corpus of one instance, such as
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from collections.abc import Callable
 
@@ -32,10 +35,12 @@ import scipy.sparse as sp
 
 from .expansions import (
     LineExpansion,
+    _edge_array,
+    _edge_keys,
+    _line_graph_keys,
     adjacency_from_projections,
     block_gram,
     line_expand,
-    line_graph,
     projections,
     size_formulas,
     star_expansion_graph,
@@ -90,16 +95,20 @@ def check_size_formulas(h: Hypergraph, le: LineExpansion) -> CheckResult:
 
 def check_line_graph_equivalence(h: Hypergraph, le: LineExpansion) -> CheckResult:
     """LE(h) equals the line graph of the star expansion under the canonical
-    (v, e) labeling: star-expansion edges are exactly the incidence pairs."""
+    (v, e) labeling: star-expansion edges are exactly the incidence pairs.
+    Both sides are compared as the sorted distinct keys min * m + max of
+    their edges, m the number of star edges."""
     n_star, star_edges = star_expansion_graph(h)
-    lg_edges = set(line_graph(n_star, star_edges))
+    ends = np.array(star_edges, dtype=np.int64).reshape(-1, 2)
+    m = len(ends)
+    lg_keys = _line_graph_keys(n_star, ends[:, 0], ends[:, 1])
     # star edge k and line node k are both the pair h.pairs()[k]
-    le_edges = {(i, j) for i, j, _ in le.edges}
-    same = lg_edges == le_edges
+    edges = _edge_array(le.edges)
+    le_keys = _edge_keys(edges["i"], edges["j"], m)
     return CheckResult(
         "line-graph-of-star-expansion",
-        same,
-        f"{len(le_edges)} LE edges vs {len(lg_edges)} line-graph edges",
+        bool(np.array_equal(lg_keys, le_keys)),
+        f"{len(le_keys)} LE edges vs {len(lg_keys)} line-graph edges",
     )
 
 
@@ -219,14 +228,15 @@ def _disjoint_union(cls, parts):
 def _union_first(
     name: str, instances: list, check: Callable, union: Callable, pass_detail: str = ""
 ) -> CheckResult:
-    """``check(*union(instances))`` once, on the instances' disjoint union,
-    whose verdict is every instance's: each entry the check compares lies in
-    one instance's block. A pass reports what :func:`_first_failure` would.
-    A failure, and a corpus of at most one instance, is left to
+    """``check(*union())`` once, on the instances' disjoint union, whose
+    verdict is every instance's: each entry the check compares lies in one
+    instance's block. A pass reports what :func:`_first_failure` would. A
+    failure, and a corpus of at most one instance, is left to
     :func:`_first_failure`, which names the failing instance and its seed.
-    ``seconds`` counts the union and any scan after it."""
+    ``seconds`` counts the union, if this call builds it, and any scan after
+    it."""
     start = time.perf_counter()
-    if len(instances) > 1 and check(*union(instances)).passed:
+    if len(instances) > 1 and check(*union()).passed:
         return CheckResult(name, True, pass_detail, len(instances), time.perf_counter() - start)
     res = _first_failure(name, instances, check, pass_detail)
     return dataclasses.replace(res, seconds=time.perf_counter() - start)
@@ -265,19 +275,18 @@ def run_verification(
             corpus.append((h, line_expand(h), seed + t))
 
     pass_detail = f"{len(corpus)} instance(s)"
+    # one union of the corpus and its line expansion, for both checks on it
+    expanded = functools.cache(lambda: _expanded_union(corpus))
     results = [
         _union_first(
-            "observation-identities", corpus, check_observation_identities,
-            _expanded_union, pass_detail,
-        )
-    ]
-    results += [
-        _first_failure(name, corpus, check, pass_detail)
-        for name, check in (
-            ("size-formulas", check_size_formulas),
-            ("line-graph-of-star-expansion", check_line_graph_equivalence),
-            ("labeled-round-trip", check_labeled_round_trip),
-        )
+            "observation-identities", corpus, check_observation_identities, expanded, pass_detail
+        ),
+        _first_failure("size-formulas", corpus, check_size_formulas, pass_detail),
+        _union_first(
+            "line-graph-of-star-expansion", corpus, check_line_graph_equivalence, expanded,
+            pass_detail,
+        ),
+        _first_failure("labeled-round-trip", corpus, check_labeled_round_trip, pass_detail),
     ]
 
     # star equivalence needs no zero-degree vertices
@@ -290,7 +299,8 @@ def run_verification(
     )
     results.append(
         _union_first(
-            "star-equivalence", no_isolated, check_star_equivalence, _hypergraph_union, compared
+            "star-equivalence", no_isolated, check_star_equivalence,
+            lambda: _hypergraph_union(no_isolated), compared,
         )
     )
 
@@ -301,7 +311,10 @@ def run_verification(
             n, p = int(rng2.integers(2, 30)), float(rng2.uniform(0.05, 0.4))
             graphs.append((random_connected_graph(n, p, seed + t), seed + t))
         results.append(
-            _union_first("simple-graph-factor", graphs, check_simple_graph_factor, _graph_union)
+            _union_first(
+                "simple-graph-factor", graphs, check_simple_graph_factor,
+                lambda: _graph_union(graphs),
+            )
         )
 
     if reconstruct:

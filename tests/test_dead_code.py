@@ -23,6 +23,7 @@ KEPT_PUBLIC = {
     "learn.load_zoo": "the README documents it, as library API only",
     "verify.random_connected_hypergraph": "criterion-07 draws its corpus from it",
     "expansions.clique_adjacency": "the README documents it and networkx oracle tests pin it",
+    "expansions.line_graph": "criterion-04 and the networkx and multigraph tests pin it",
 }
 
 

@@ -247,9 +247,35 @@ def messy_hypergraphs(draw):
     return lx.Hypergraph(nv + isolated, tuple(edges))
 
 
+def _coo_back_projection(rows_of: np.ndarray, cols_of: np.ndarray, n_rows: int) -> sp.csr_array:
+    """The back-projection's entries, converted to CSR by scipy from COO."""
+    w = 1.0 / np.bincount(cols_of)[cols_of]
+    data = w / np.bincount(rows_of, weights=w, minlength=n_rows)[rows_of]
+    return sp.csr_array((data, (rows_of, np.arange(len(rows_of)))), shape=(n_rows, len(rows_of)))
+
+
 class TestClosedFormOracle:
     """projections and renormalized_operator against their loop
     definitions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(messy_hypergraphs(), st.lists(st.integers(0, 9), max_size=2))
+    def test_back_projections_are_the_coo_built_ones(self, h, empty_at):
+        """Bit for bit, with empty hyperedges inserted at ``empty_at``."""
+        edges = list(h.edges)
+        for k in empty_at:
+            edges.insert(min(k, len(edges)), ())
+        h = lx.Hypergraph(h.num_vertices, tuple(edges))
+        p = lx.projections(h)
+        v_of, e_of = lx.line_expand(h).pair_arrays
+        for got, expected in (
+            (p.p_v_back, _coo_back_projection(v_of, e_of, h.num_vertices)),
+            (p.p_e_back, _coo_back_projection(e_of, v_of, h.num_hyperedges)),
+        ):
+            assert got.shape == expected.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(expected, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     @settings(max_examples=150, deadline=None)
     @given(messy_hypergraphs())
@@ -410,7 +436,7 @@ class TestVertexPropagation:
         for w_v, w_e in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.3, 7.0)):
             op = lx.renormalized_operator(lx.line_expand(h, w_v, w_e))
             expected = p.p_v_back.toarray() @ op.matrix.toarray() @ p.p_v.toarray()
-            got = vertex_propagation(p, op)
+            got = vertex_propagation(p.p_v_back, p.h_r, op)
             assert got.shape == (h.num_vertices, h.num_vertices)
             assert np.abs(got.toarray() - expected).max() <= 1e-12
 

@@ -262,6 +262,12 @@ UNION_CHECKS = {
         lambda h: (h, lx.line_expand(h)),
         lambda trials, n: f"{trials} instance(s)",
     ),
+    "line-graph-of-star-expansion": (
+        lambda rec: rec["hypergraphs"],
+        verify.check_line_graph_equivalence,
+        lambda h: (h, lx.line_expand(h)),
+        lambda trials, n: f"{trials} instance(s)",
+    ),
     "star-equivalence": (
         lambda rec: [(h, s) for h, s in rec["hypergraphs"] if _no_isolated(h)],
         check_star_equivalence,
@@ -318,6 +324,19 @@ def _size(x) -> int:
     return x.num_vertices if isinstance(x, lx.Hypergraph) else x.num_nodes
 
 
+def _rewire(star: tuple, i: int, h: lx.Hypergraph) -> tuple:
+    """The star expansion ``star`` with its first edge at a vertex >= i, the
+    first of instance ``h``'s, moved to two new nodes, so that the line
+    edges of its line node go missing (it has some in every corpus here)."""
+    n, edges = star
+    k = next(k for k, (v, _) in enumerate(edges) if v >= i)
+    v, e = edges[k]
+    assert sum(v in edge or e in edge for edge in edges) > 1
+    edges = list(edges)
+    edges[k] = (n, n + 1)
+    return n + 2, edges
+
+
 # name -> (where the planted fault goes, and what it does to the result at
 # instance vertex `i`, shifted into the instance's block, of instance `x`)
 PLANTS = {
@@ -325,6 +344,7 @@ PLANTS = {
         verify, "vertex_degrees",
         lambda d, i, h: lx.DegreeVector(d.values[:i] + (d.values[i] + 1,) + d.values[i + 1:]),
     ),
+    "line-graph-of-star-expansion": (verify, "star_expansion_graph", _rewire),
     "star-equivalence": (unify, "star_adjacency", lambda a, i, h: _add_one(a, i, i)),
     "simple-graph-factor": (
         unify, "simple_graph_adjacency",
